@@ -7,37 +7,21 @@ detected by counting p-elements), EPPO/EPO (prime-power / prime element
 orders), Sylow normality/cyclicity/exponent per prime, and whether the group
 is an exponent-2 2-group.
 
-`rhs_predicate` evaluates the structural ("right-hand") side of each named
-verification case; the boolean formulas are documented case-by-case in the
-README.  Predicates for the symmetric/alternating families recover n by
-inverting n! (resp. n!/2) from the group order; the PSL2/Sz cases are purely
-number-theoretic in the field-size parameter q.
+`CASES` is the table of the 16 verification cases: which corpus entries
+each covers, its graph side (checked on P*(G)), and its structural
+("right-hand") side, which `rhs_predicate` evaluates; the boolean formulas
+are documented case-by-case in the README.  Predicates for the
+symmetric/alternating families recover n by inverting n! (resp. n!/2) from
+the group order; the PSL2/Sz cases are purely number-theoretic in the
+field-size parameter q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .group_kernel import Group
-
-THEOREM_IDS: tuple[str, ...] = (
-    "T-CHAIN",
-    "T-P5-NILP",
-    "T-P5P5B-NILP",
-    "T-P5P5B-PRODUCT",
-    "T-SN",
-    "T-AN",
-    "T-PSL2",
-    "T-SZ",
-    "T-P2P3-NILP",
-    "T-P2P3-NONNILP",
-    "T-DIAMOND",
-    "T-EVENHOLE-DIAMOND",
-    "T-DIAMOND-CODIAMOND",
-    "S-COGRAPH-NULLPRIME",
-    "S-CHORDAL-NILP",
-    "S-COGRAPH-NILP",
-)
+from .group_kernel import Group, _is_power_of
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -148,12 +132,6 @@ def compute_structure_flags(group: Group) -> StructureFlags:
     )
 
 
-def _is_power_of(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def _as_flags(g: Group | StructureFlags) -> StructureFlags:
     return g if isinstance(g, StructureFlags) else compute_structure_flags(g)
 
@@ -173,13 +151,7 @@ def rhs_chain(f: StructureFlags) -> bool:
         return True
     if f.is_exponent2_2group:
         return True
-    if (f.is_epo
-            and dict(f.factorization).get(3) == 1
-            and set(f.primes) == {2, 3}
-            and dict(f.factorization)[2] >= 2
-            and f.normal_sylow[3]
-            and f.sylow_exponent[2] == 2
-            and not f.sylow_cyclic[2]):
+    if rhs_chain_case_c(f):
         return True
     return f.order == 6 and not f.is_cyclic
 
@@ -388,38 +360,77 @@ def rhs_cograph_nilpotent(f: StructureFlags) -> bool:
             and all(e == 1 for _, e in f.factorization))
 
 
+@dataclass(frozen=True)
+class Case:
+    """One verification case.
+
+    The graph side holds on P*(G) unless one of `patterns` (searched in this
+    order) occurs as an induced subgraph, or, with `hole` set, P*(G) has a
+    hole of that parity.  P(G) is P*(G) plus the identity, adjacent to every
+    other vertex, and neither these patterns nor a hole has such a vertex,
+    so the P(G) statements read the same on P*(G).  `family` and `when`
+    restrict the corpus entries the case covers.  `rhs` takes the entry's
+    StructureFlags, or the field size q where `by_q` is set.
+    """
+
+    id: str
+    rhs: Callable[..., bool]
+    patterns: tuple[str, ...] = ()
+    hole: str | None = None
+    family: str | None = None
+    when: Callable[[StructureFlags], bool] | None = None
+    by_q: bool = False
+
+
+def _nilpotent(f: StructureFlags) -> bool:
+    return f.is_nilpotent
+
+
+def _not_nilpotent(f: StructureFlags) -> bool:
+    return not f.is_nilpotent
+
+
+def _eppo(f: StructureFlags) -> bool:
+    return f.is_eppo
+
+
+_P5_P5BAR = ("P5", "P5bar")
+_P2P3 = ("P2uP3", "P2uP3bar")
+
+CASES: dict[str, Case] = {c.id: c for c in (
+    Case("T-CHAIN", rhs_chain, ("C3", "C5", "2K2")),
+    Case("T-P5-NILP", rhs_p5_nilpotent, ("P5",), when=_nilpotent),
+    Case("T-P5P5B-NILP", rhs_p5_nilpotent, _P5_P5BAR, when=_nilpotent),
+    # Over ordered pairs of the product sub-corpus.
+    Case("T-P5P5B-PRODUCT", rhs_p5p5bar_product, _P5_P5BAR),
+    Case("T-SN", rhs_symmetric, _P5_P5BAR, family="S"),
+    Case("T-AN", rhs_alternating, _P5_P5BAR, family="A"),
+    Case("T-PSL2", rhs_psl2, _P5_P5BAR, family="PSL2", by_q=True),
+    # Structural side only, over the corpus's Suzuki parameters.
+    Case("T-SZ", rhs_sz, by_q=True),
+    Case("T-P2P3-NILP", rhs_p2p3_nilpotent, _P2P3, when=_nilpotent),
+    Case("T-P2P3-NONNILP", rhs_p2p3_nonnilpotent, _P2P3, when=_not_nilpotent),
+    Case("T-DIAMOND", rhs_diamond, ("diamond",)),
+    Case("T-EVENHOLE-DIAMOND", rhs_diamond, ("diamond",), hole="even"),
+    Case("T-DIAMOND-CODIAMOND", rhs_diamond_codiamond, ("diamond", "co-diamond")),
+    Case("S-COGRAPH-NULLPRIME", rhs_cograph_nullprime, ("P4",), when=_eppo),
+    Case("S-CHORDAL-NILP", rhs_chordal_nilpotent, hole="any", when=_nilpotent),
+    Case("S-COGRAPH-NILP", rhs_cograph_nilpotent, ("P4",), when=_nilpotent),
+)}
+
+THEOREM_IDS: tuple[str, ...] = tuple(CASES)
+
+
 def rhs_predicate(theorem_id: str, *args) -> bool:
-    """Dispatch to the named case's structural predicate.
+    """The named case's structural side.
 
     Group-shaped cases accept a Group or precomputed StructureFlags;
     T-P5P5B-PRODUCT takes two of them; T-PSL2 / T-SZ take the integer q.
     """
-    if theorem_id not in THEOREM_IDS:
+    case = CASES.get(theorem_id)
+    if case is None:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
-    if theorem_id == "T-PSL2":
+    if case.by_q:
         (q,) = args
-        return rhs_psl2(int(q))
-    if theorem_id == "T-SZ":
-        (q,) = args
-        return rhs_sz(int(q))
-    if theorem_id == "T-P5P5B-PRODUCT":
-        fg, fh = args
-        return rhs_p5p5bar_product(_as_flags(fg), _as_flags(fh))
-    (g,) = args
-    f = _as_flags(g)
-    single = {
-        "T-CHAIN": rhs_chain,
-        "T-P5-NILP": rhs_p5_nilpotent,
-        "T-P5P5B-NILP": rhs_p5_nilpotent,
-        "T-SN": rhs_symmetric,
-        "T-AN": rhs_alternating,
-        "T-P2P3-NILP": rhs_p2p3_nilpotent,
-        "T-P2P3-NONNILP": rhs_p2p3_nonnilpotent,
-        "T-DIAMOND": rhs_diamond,
-        "T-EVENHOLE-DIAMOND": rhs_diamond,
-        "T-DIAMOND-CODIAMOND": rhs_diamond_codiamond,
-        "S-COGRAPH-NULLPRIME": rhs_cograph_nullprime,
-        "S-CHORDAL-NILP": rhs_chordal_nilpotent,
-        "S-COGRAPH-NILP": rhs_cograph_nilpotent,
-    }
-    return single[theorem_id](f)
+        return case.rhs(int(q))
+    return case.rhs(*map(_as_flags, args))

@@ -19,8 +19,6 @@ from .classifiers import THEOREM_IDS, psl2_side_numbers, rhs_psl2, rhs_sz, sz_si
 from .harness import Harness, analyze_group, default_corpus, load_corpus
 from .patterns import PATTERNS
 from .power_graph import export_graph
-from .constructors import build_group
-from .power_graph import build_power_graph
 
 ALLOW_LARGE_CAP = 25200
 
@@ -73,9 +71,8 @@ def _cmd_analyze(args) -> int:
     report = analyze_group(args.spec, proper=args.proper, patterns=patterns, cap=cap)
     if args.export:
         fmt, path = args.export
-        graph = build_power_graph(build_group(args.spec, cap), proper=args.proper)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(export_graph(graph, fmt))
+            fh.write(export_graph(report.graph, fmt))
     doc = report.to_dict()
     if args.as_json:
         print(json.dumps(doc, indent=2, sort_keys=True))

@@ -22,10 +22,15 @@ payload: cycle notation, plain integers, "[[a,b],[c,d]]", or "(l,r)" pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from math import gcd
+from math import factorial, gcd
 
-from .finite_field import construct_field, index_tables, primitive_element, element_index
+from .finite_field import (
+    _is_prime,
+    construct_field,
+    element_index,
+    index_tables,
+    primitive_element,
+)
 from .group_kernel import (
     CapExceededError,
     Group,
@@ -162,7 +167,7 @@ def dihedral(n: int, cap: int | None = None) -> Group:
 def symmetric(n: int, cap: int | None = None) -> Group:
     if not 1 <= n <= 7:
         raise ValueError(f"symmetric group supported for 1 <= n <= 7, got {n}")
-    order = _factorial(n)
+    order = factorial(n)
     _check_cap(order, cap, f"S{n}")
     if n == 1:
         return Group((identity_permutation(1),), compose_permutations, "S1",
@@ -178,7 +183,7 @@ def symmetric(n: int, cap: int | None = None) -> Group:
 def alternating(n: int, cap: int | None = None) -> Group:
     if not 1 <= n <= 7:
         raise ValueError(f"alternating group supported for 1 <= n <= 7, got {n}")
-    order = max(1, _factorial(n) // 2)
+    order = max(1, factorial(n) // 2)
     _check_cap(order, cap, f"A{n}")
     if n <= 2:
         return Group((identity_permutation(max(n, 1)),), compose_permutations,
@@ -394,21 +399,6 @@ def _check_cap(order: int, cap: int | None, label: str) -> None:
     effective = resolve_cap(cap)
     if order > effective:
         raise CapExceededError(f"{label} has order {order}, exceeding cap {effective}")
-
-
-def _factorial(n: int) -> int:
-    return reduce(lambda a, b: a * b, range(1, n + 1), 1)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _prime_power(q: int) -> tuple[int, int]:

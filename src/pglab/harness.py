@@ -1,10 +1,13 @@
 """Verification harness: run every classification check over a corpus.
 
-Each case pairs a graph-side decision procedure (pattern freeness, chain
-graph, chordality, hole search — on P(G) or P*(G) as the statement requires)
-with the structural right-hand side from `classifiers`, evaluates both
-independently on every applicable corpus member, and reports agreement with
-witnesses for the failing graph sides.
+Each row of the case table `classifiers.CASES` pairs a graph-side check
+(pattern freeness, then optionally a hole search) with a structural
+right-hand side.  The harness evaluates both independently on every corpus
+member the row covers and reports agreement, with witnesses for the failing
+graph sides.  Every graph side is checked on P*(G): the statements about
+P(G) forbid only patterns (and holes) without a vertex adjacent to all the
+others, so the identity never takes part and P(G) gives the same verdicts
+and witness labels.
 
 Reports are deterministic: entry order follows the corpus, witnesses come
 from the deterministic searches, and the only run-dependent field is the
@@ -14,9 +17,11 @@ wall-time `ms`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .classifiers import (
+    CASES,
+    Case,
     StructureFlags,
     THEOREM_IDS,
     compute_structure_flags,
@@ -119,7 +124,10 @@ def load_corpus(path: str) -> Corpus:
 
 
 class GroupBundle:
-    """Per-group lazy cache: group, flags, both power graphs, reductions."""
+    """Per-group lazy cache: group, flags, power graph and its reduction.
+
+    The harness asks only for P*(G) (proper=True); `analyze_group` may ask for
+    P(G)."""
 
     def __init__(self, spec: GroupSpec, cap: int | None, label: str | None = None):
         self.spec = spec
@@ -224,64 +232,9 @@ class Harness:
             self._product_bundles[key] = bundle
         return self._product_bundles[key]
 
-    # -- graph-side checkers -------------------------------------------------
-
-    def _side_free(self, bundle: GroupBundle, proper: bool,
-                   names: tuple[str, ...]) -> tuple[bool, Witness | None]:
-        red = bundle.reduction(proper)
-        for name in names:
-            w = find_induced_pattern(red, name)
-            if w is not None:
-                return False, w
-        return True, None
-
-    def _side_chain(self, bundle: GroupBundle) -> tuple[bool, Witness | None]:
-        return is_chain_graph(bundle.reduction(proper=True))
-
-    def _side_evenhole_diamond(self, bundle: GroupBundle) -> tuple[bool, Witness | None]:
-        red = bundle.reduction(proper=True)
-        w = find_induced_pattern(red, "diamond")
-        if w is not None:
-            return False, w
-        # Chordal graphs have no holes at all; skip the exponential search.
-        if _mcs_is_chordal(red.graph):
-            return True, None
-        w = find_hole(red, parity="even", min_len=self.min_hole_len)
-        return (w is None), w
-
-    def _side_cograph(self, bundle: GroupBundle) -> tuple[bool, Witness | None]:
-        free, w = is_cograph(bundle.reduction(proper=False))
-        return free, w
-
-    def _side_chordal(self, bundle: GroupBundle) -> tuple[bool, Witness | None]:
-        return is_chordal(bundle.reduction(proper=False))
-
-    # -- applicability -------------------------------------------------------
-
-    def _applicable(self, theorem_id: str) -> list[CorpusEntry]:
-        entries = self.corpus.entries
-        if theorem_id in ("T-CHAIN", "T-DIAMOND", "T-EVENHOLE-DIAMOND",
-                          "T-DIAMOND-CODIAMOND"):
-            return list(entries)
-        if theorem_id in ("T-P5-NILP", "T-P5P5B-NILP", "T-P2P3-NILP",
-                          "S-CHORDAL-NILP", "S-COGRAPH-NILP"):
-            return [e for e in entries if self.bundle(e).flags.is_nilpotent]
-        if theorem_id == "T-P2P3-NONNILP":
-            return [e for e in entries if not self.bundle(e).flags.is_nilpotent]
-        if theorem_id == "T-SN":
-            return [e for e in entries if e.family == "S"]
-        if theorem_id == "T-AN":
-            return [e for e in entries if e.family == "A"]
-        if theorem_id == "T-PSL2":
-            return [e for e in entries if e.family == "PSL2"]
-        if theorem_id == "S-COGRAPH-NULLPRIME":
-            return [e for e in entries if self.bundle(e).flags.is_eppo]
-        raise ValueError(f"no applicability rule for {theorem_id!r}")
-
-    # -- case runners ---------------------------------------------------------
-
     def run_case(self, theorem_id: str) -> VerificationReport:
-        if theorem_id not in THEOREM_IDS:
+        case = CASES.get(theorem_id)
+        if case is None:
             raise ValueError(f"unknown theorem id {theorem_id!r}")
         start = time.monotonic()
         if theorem_id == "T-SZ":
@@ -292,44 +245,39 @@ class Harness:
             ]
             return self._finish(theorem_id, records, start, note="rhs-only")
         if theorem_id == "T-P5P5B-PRODUCT":
-            return self._run_product_case(start)
+            return self._run_product_case(case, start)
 
-        checker = self._checker_for(theorem_id)
         records = []
-        for entry in self._applicable(theorem_id):
+        for entry in self.corpus.entries:
+            if case.family is not None and entry.family != case.family:
+                continue
             bundle = self.bundle(entry)
-            side, witness = checker(bundle)
-            if theorem_id == "T-PSL2":
-                rhs = rhs_predicate("T-PSL2", entry.spec.params[0])
-            else:
-                rhs = rhs_predicate(theorem_id, bundle.flags)
+            if case.when is not None and not case.when(bundle.flags):
+                continue
+            side, witness = self._graph_side(bundle, case)
+            rhs = rhs_predicate(theorem_id,
+                                entry.spec.params[0] if case.by_q else bundle.flags)
             records.append(EntryRecord(
                 group=bundle.label, graph_side=side, rhs=rhs,
                 agree=side == rhs, witness=_witness_labels(witness)))
         return self._finish(theorem_id, records, start)
 
-    def _checker_for(self, theorem_id: str):
-        if theorem_id == "T-CHAIN":
-            return self._side_chain
-        if theorem_id == "T-P5-NILP":
-            return lambda b: self._side_free(b, False, ("P5",))
-        if theorem_id in ("T-P5P5B-NILP", "T-SN", "T-AN", "T-PSL2"):
-            return lambda b: self._side_free(b, False, ("P5", "P5bar"))
-        if theorem_id in ("T-P2P3-NILP", "T-P2P3-NONNILP"):
-            return lambda b: self._side_free(b, False, ("P2uP3", "P2uP3bar"))
-        if theorem_id == "T-DIAMOND":
-            return lambda b: self._side_free(b, True, ("diamond",))
-        if theorem_id == "T-EVENHOLE-DIAMOND":
-            return self._side_evenhole_diamond
-        if theorem_id == "T-DIAMOND-CODIAMOND":
-            return lambda b: self._side_free(b, True, ("diamond", "co-diamond"))
-        if theorem_id in ("S-COGRAPH-NULLPRIME", "S-COGRAPH-NILP"):
-            return self._side_cograph
-        if theorem_id == "S-CHORDAL-NILP":
-            return self._side_chordal
-        raise ValueError(f"no graph-side checker for {theorem_id!r}")
+    def _graph_side(self, bundle: GroupBundle, case: Case) -> tuple[bool, Witness | None]:
+        red = bundle.reduction(True)
+        for name in case.patterns:
+            w = find_induced_pattern(red, name)
+            if w is not None:
+                return False, w
+        # Chordal graphs have no holes at all; skip the exponential search.
+        if case.hole is None or _mcs_is_chordal(red.graph):
+            return True, None
+        # The minimum length is part of the even-hole statement only; a
+        # chordality check refutes with any hole.
+        min_len = self.min_hole_len if case.hole == "even" else 4
+        w = find_hole(red, parity=case.hole, min_len=min_len)
+        return w is None, w
 
-    def _run_product_case(self, start: float) -> VerificationReport:
+    def _run_product_case(self, case: Case, start: float) -> VerificationReport:
         records = []
         members = self.corpus.product_entries
         for a in members:
@@ -338,13 +286,13 @@ class Harness:
                 if order > PRODUCT_ORDER_CAP:
                     continue
                 pb = self._product_bundle(a, b)
-                side, witness = self._side_free(pb, False, ("P5", "P5bar"))
-                rhs = rhs_predicate("T-P5P5B-PRODUCT",
+                side, witness = self._graph_side(pb, case)
+                rhs = rhs_predicate(case.id,
                                     self.bundle(a).flags, self.bundle(b).flags)
                 records.append(EntryRecord(
                     group=pb.label, graph_side=side, rhs=rhs,
                     agree=side == rhs, witness=_witness_labels(witness)))
-        return self._finish("T-P5P5B-PRODUCT", records, start)
+        return self._finish(case.id, records, start)
 
     def _finish(self, theorem_id: str, records: list[EntryRecord],
                 start: float, note: str | None = None) -> VerificationReport:
@@ -376,6 +324,7 @@ class AnalysisReport:
     cograph: bool
     chordal: bool
     chain: bool
+    graph: Graph = field(repr=False, compare=False)  # the graph analyzed
 
     def to_dict(self) -> dict:
         def wlabels(w: Witness | None):
@@ -442,4 +391,5 @@ def analyze_group(spec_text: str, proper: bool = False,
         cograph=cograph,
         chordal=chordal,
         chain=chain,
+        graph=bundle.graph(proper),
     )

@@ -6,10 +6,17 @@ and co-diamond, and the path unions P2+P3 / complement.  All searches are for
 *induced* copies, run on the twin-reduced search graph (which preserves every
 catalog pattern and all holes), and return witnesses as original vertex ids
 plus labels.  Search order is deterministic, so witnesses are reproducible.
+
+A search for H looks only at the first m(H) members of each twin class,
+where m(H) is the size of H's largest closed-twin or open-twin class.  The
+first witness in search order never needs more: the members of one host class
+that a copy uses are twins inside H, and swapping a used member for a
+smaller unused one yields a copy that the search meets earlier.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .power_graph import Graph, TwinReducedGraph, twin_reduce
@@ -22,6 +29,7 @@ class Pattern:
     edges: tuple[tuple[int, int], ...]
     adj_masks: tuple[int, ...]
     degrees: tuple[int, ...]
+    max_twins: int  # m(H): the largest closed-twin or open-twin class
 
 
 def _make_pattern(name: str, size: int, edges: tuple[tuple[int, int], ...]) -> Pattern:
@@ -30,7 +38,10 @@ def _make_pattern(name: str, size: int, edges: tuple[tuple[int, int], ...]) -> P
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     degrees = tuple(bin(m).count("1") for m in masks)
-    return Pattern(name, size, edges, tuple(masks), degrees)
+    closed = Counter(m | 1 << v for v, m in enumerate(masks))
+    opened = Counter(masks)
+    max_twins = max(max(closed.values()), max(opened.values()))
+    return Pattern(name, size, edges, tuple(masks), degrees, max_twins)
 
 
 PATTERNS: dict[str, Pattern] = {
@@ -83,17 +94,21 @@ def find_induced_pattern(g: Graph | TwinReducedGraph,
     """First induced copy of `pattern`, or None.
 
     Deterministic backtracking on the twin-reduced graph: pattern vertices are
-    tried in decreasing-degree order, graph candidates in ascending id order.
+    tried in decreasing-degree order, graph candidates in ascending id order,
+    among the first m(H) members of each twin class.
     """
     if isinstance(pattern, str):
         pattern = PATTERNS[pattern]
     red = _as_reduction(g)
+    if pattern.max_twins >= len(red.rank_masks):
+        raise ValueError(f"{pattern.name} has {pattern.max_twins} mutual twins; "
+                         f"twin reduction keeps {len(red.rank_masks) - 1}")
     s = red.graph
     if s.n < pattern.size:
         return None
 
     order = sorted(range(pattern.size), key=lambda v: (-pattern.degrees[v], v))
-    full = (1 << s.n) - 1
+    full = red.rank_masks[pattern.max_twins]
     degs = [s.degree(v) for v in range(s.n)]
     assignment = [-1] * pattern.size  # pattern vertex -> search-graph vertex
 
@@ -230,6 +245,9 @@ def find_hole(g: Graph | TwinReducedGraph, parity: str = "any",
     red = _as_reduction(g)
     s = red.graph
     cap = s.n if max_len is None else min(max_len, s.n)
+    # A triangle may lie in one closed twin class; a longer induced cycle meets
+    # a closed class at most once and an open one at most twice.
+    allowed = red.rank_masks[3 if min_len == 3 else 2]
 
     def parity_ok(length: int) -> bool:
         if parity == "even":
@@ -240,8 +258,8 @@ def find_hole(g: Graph | TwinReducedGraph, parity: str = "any",
 
     # Search for cycles whose minimum vertex is start; path = [start, v1, ..., vk],
     # each vi > start, consecutive adjacent, non-consecutive non-adjacent.
-    for start in range(s.n):
-        above = ~((1 << (start + 1)) - 1)
+    for start in _bits(allowed):
+        above = ~((1 << (start + 1)) - 1) & allowed
         first_cands = s.adj[start] & above
         for v1 in _bits(first_cands):
             found = _hole_dfs(s, start, v1, above, cap, min_len, parity_ok)
@@ -254,25 +272,31 @@ def find_hole(g: Graph | TwinReducedGraph, parity: str = "any",
 
 def _hole_dfs(s: Graph, start: int, v1: int, above: int, cap: int,
               min_len: int, parity_ok) -> list[int] | None:
+    """Depth-first over induced paths start, v1, ...: at each path, first the
+    smallest closing vertex w > v1, then the extensions in ascending order.
+    Iterative, so the path length is not bounded by the recursion limit."""
+    adj = s.adj
+    past_v1 = above & ~((1 << (v1 + 1)) - 1)
     path = [start, v1]
-
-    def dfs(path_mask: int, blocked: int) -> list[int] | None:
-        """blocked = union of neighborhoods of interior vertices v1..v_{k-1}."""
-        vk = path[-1]
-        if min_len <= len(path) + 1 <= cap:
-            close = s.adj[vk] & s.adj[start] & above & ~blocked & ~path_mask
-            for w in _bits(close):
-                if w > v1 and parity_ok(len(path) + 1):
-                    return path + [w]
-        if len(path) + 1 >= cap:
-            return None
-        ext = s.adj[vk] & above & ~s.adj[start] & ~blocked & ~path_mask
-        for w in _bits(ext):
-            path.append(w)
-            got = dfs(path_mask | (1 << w), blocked | s.adj[vk])
-            path.pop()
-            if got is not None:
-                return got
-        return None
-
-    return dfs((1 << start) | (1 << v1), 0)
+    path_mask = (1 << start) | (1 << v1)
+    blocked = [0]  # blocked[i]: union of neighborhoods of path[1:i + 1]
+    pending: list[int] = []  # pending[i]: untried extensions of path[:i + 2]
+    while True:
+        vk, length, block = path[-1], len(path) + 1, blocked[-1]
+        if min_len <= length <= cap and parity_ok(length):
+            close = adj[vk] & adj[start] & past_v1 & ~block & ~path_mask
+            if close:
+                return path + [(close & -close).bit_length() - 1]
+        pending.append(adj[vk] & above & ~adj[start] & ~block & ~path_mask
+                       if length < cap else 0)
+        while not pending[-1]:
+            pending.pop()
+            if not pending:
+                return None
+            path_mask ^= 1 << path.pop()
+            blocked.pop()
+        low = pending[-1] & -pending[-1]
+        pending[-1] ^= low
+        blocked.append(blocked[-1] | adj[path[-1]])
+        path.append(low.bit_length() - 1)
+        path_mask |= low

@@ -4,13 +4,14 @@
 generated by the other; with proper=True the identity vertex is removed
 (vertex i of the proper graph is group element i+1).
 
-`twin_reduction` shrinks a graph by interchangeability classes (vertices with
+`twin_reduce` shrinks a graph by interchangeability classes (vertices with
 identical closed neighborhoods — adjacent twins — or identical open
-neighborhoods — non-adjacent twins), keeping up to `keep` representatives per
-class.  Pattern searches on the reduced graph are equivalent to searches on
-the original for every pattern that uses at most `keep` mutually
-interchangeable vertices, and witnesses translate straight back because
-representatives are original vertex ids.
+neighborhoods — non-adjacent twins), keeping the `RETAIN` smallest ids of
+each class.  An induced copy of a pattern H meets a class in at most m(H)
+vertices, the size of H's own largest twin class, so a search for H needs
+only the first m(H) members of each class; `TwinReducedGraph.rank_masks`
+marks them.  Witnesses translate straight back because representatives are
+original vertex ids.
 """
 
 from __future__ import annotations
@@ -18,7 +19,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .classifiers import factorize
 from .group_kernel import Group
+
+# Members kept per twin class: the largest m(H) in the pattern catalog (C3).
+RETAIN = 3
 
 
 class Graph:
@@ -140,23 +145,24 @@ class TwinReducedGraph:
     class_of: list[int]             # vertex -> class index
     retained: list[int]             # representative original-vertex ids, sorted
     graph: Graph = field(repr=False)  # induced on retained, search-ready
+    # rank_masks[m]: search-graph vertices among the first m members of their
+    # class, for m = 0..RETAIN.
+    rank_masks: list[int] = field(repr=False)
 
     @property
     def class_count(self) -> int:
         return len(self.classes)
 
 
-def twin_reduce(graph: Graph, cap: int = 5) -> TwinReducedGraph:
+def twin_reduce(graph: Graph) -> TwinReducedGraph:
     """Group vertices with equal closed or equal open neighborhoods.
 
     A vertex pair cannot be both (that would force u = v), so the two
-    relations merge into one partition.  Up to `cap` members of each class
-    are retained (the smallest ids), and the search graph is the subgraph the
-    retained vertices induce in the original.  Patterns on up to `cap`
-    vertices and induced cycles of any length survive the reduction.
+    relations merge into one partition.  The `RETAIN` smallest ids of each
+    class are retained, and the search graph is the subgraph they induce in
+    the original.  Every catalog pattern and induced cycles of any length
+    survive the reduction.
     """
-    if cap < 1:
-        raise ValueError(f"retention cap must be >= 1, got {cap}")
     closed: dict[int, list[int]] = {}
     opened: dict[int, list[int]] = {}
     for v in range(graph.n):
@@ -185,16 +191,24 @@ def twin_reduce(graph: Graph, cap: int = 5) -> TwinReducedGraph:
         groups.setdefault(find(v), []).append(v)
     classes = sorted((sorted(ms) for ms in groups.values()), key=lambda ms: ms[0])
     class_of = [0] * graph.n
+    rank = [0] * graph.n
     for ci, ms in enumerate(classes):
-        for v in ms:
+        for r, v in enumerate(ms):
             class_of[v] = ci
-    retained = sorted(v for ms in classes for v in ms[:cap])
+            rank[v] = r
+    retained = sorted(v for ms in classes for v in ms[:RETAIN])
+    rank_masks = [0] * (RETAIN + 1)
+    for i, v in enumerate(retained):
+        rank_masks[rank[v] + 1] |= 1 << i
+    for m in range(1, RETAIN + 1):
+        rank_masks[m] |= rank_masks[m - 1]
     return TwinReducedGraph(
         original=graph,
         classes=classes,
         class_of=class_of,
         retained=retained,
         graph=graph.induced(retained),
+        rank_masks=rank_masks,
     )
 
 
@@ -212,30 +226,16 @@ class PrimeGraph:
 
 def build_prime_graph(group: Group) -> PrimeGraph:
     orders = set(group.element_orders())
-    primes = sorted({p for o in orders for p in _prime_divisors(o)})
+    divisors = {o: [p for p, _ in factorize(o)] for o in orders}
+    primes = sorted({p for divs in divisors.values() for p in divs})
     pos = {p: i for i, p in enumerate(primes)}
     adj = [0] * len(primes)
-    for o in orders:
-        divs = _prime_divisors(o)
+    for divs in divisors.values():
         for i, p in enumerate(divs):
             for q in divs[i + 1:]:
                 adj[pos[p]] |= 1 << pos[q]
                 adj[pos[q]] |= 1 << pos[p]
     return PrimeGraph(tuple(primes), Graph(adj, [str(p) for p in primes]))
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def export_graph(graph: Graph, fmt: str) -> str:

@@ -71,6 +71,17 @@ def test_analyze_export_dot(tmp_path):
     assert "0 -- 1;" in text
 
 
+@pytest.mark.parametrize("spec,proper,fmt", [("S4", True, "json"), ("C12", False, "dot")])
+def test_analyze_export_is_the_analyzed_graph(tmp_path, capsys, spec, proper, fmt):
+    """The export writes the graph `analyze` searched, byte for byte as a
+    fresh build of that power graph would serialize."""
+    out_path = tmp_path / f"graph.{fmt}"
+    argv = ["analyze", spec, "--export", fmt, str(out_path)] + (["--proper"] if proper else [])
+    assert main(argv) == 0
+    fresh = pglab.build_power_graph(pglab.build_group(spec), proper=proper)
+    assert out_path.read_text(encoding="utf-8") == pglab.export_graph(fresh, fmt)
+
+
 def test_analyze_cap_and_allow_large(monkeypatch, capsys):
     monkeypatch.setenv("PG_GROUP_CAP", "4")
     assert main(["analyze", "C6", "--json"]) == 2

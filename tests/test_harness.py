@@ -11,7 +11,10 @@ from pglab import (
     build_power_graph,
     compute_structure_flags,
     default_corpus,
+    find_hole,
+    find_induced_pattern,
     load_corpus,
+    twin_reduce,
     verify_witness,
 )
 from pglab.harness import (
@@ -151,6 +154,25 @@ def test_witnesses_reverify_on_their_graphs(reports):
             else:
                 assert any(verify_witness(graph, nm, ids) for nm in names), (
                     tid, e.group)
+
+
+def test_p_and_proper_p_give_the_same_witnesses():
+    """The harness checks the P(G) statements on P*(G): for their patterns and
+    for holes, P(G) yields the same first witness, label for label."""
+    checked = 0
+    for entry in default_corpus().entries:
+        group = build_group(entry.spec)
+        if group.order > 200:
+            continue
+        full = twin_reduce(build_power_graph(group))
+        proper = twin_reduce(build_power_graph(group, proper=True))
+        for name in ("P4", "P5", "P5bar", "P2uP3", "P2uP3bar"):
+            a, b = find_induced_pattern(full, name), find_induced_pattern(proper, name)
+            assert (a and a.labels) == (b and b.labels), (entry.label, name)
+        a, b = find_hole(full), find_hole(proper)
+        assert (a and a.labels) == (b and b.labels), entry.label
+        checked += 1
+    assert checked >= 50
 
 
 def test_product_case_covers_all_ordered_pairs(reports):

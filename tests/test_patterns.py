@@ -5,6 +5,7 @@ import pytest
 from pglab import (
     PATTERNS,
     Graph,
+    TwinReducedGraph,
     build_group,
     build_power_graph,
     find_hole,
@@ -16,7 +17,8 @@ from pglab import (
     twin_reduce,
     verify_witness,
 )
-from pglab.patterns import _mcs_is_chordal
+from pglab.patterns import _make_pattern, _mcs_is_chordal
+from pglab.power_graph import RETAIN
 from naive_oracle import naive_hole_lengths, naive_pattern_presence
 
 # -- catalog shape -----------------------------------------------------------------
@@ -44,6 +46,34 @@ def test_patterns_are_consistent():
         for u, v in p.edges:
             assert p.adj_masks[u] >> v & 1
             assert p.adj_masks[v] >> u & 1
+
+
+def _brute_max_twins(p):
+    """Largest vertex set of p whose members share one closed or one open
+    neighbourhood, by enumerating every subset."""
+    best = 0
+    for bits in range(1, 1 << p.size):
+        vs = [v for v in range(p.size) if bits >> v & 1]
+        if (len({p.adj_masks[v] | 1 << v for v in vs}) == 1
+                or len({p.adj_masks[v] for v in vs}) == 1):
+            best = max(best, len(vs))
+    return best
+
+
+def test_max_twins_matches_brute_force():
+    for name, p in PATTERNS.items():
+        assert p.max_twins == _brute_max_twins(p), name
+        assert p.max_twins <= RETAIN, name
+    assert {n for n, p in PATTERNS.items() if p.max_twins == 1} == {
+        "P4", "P5", "P5bar", "C5"}
+    assert PATTERNS["C3"].max_twins == 3
+
+
+def test_pattern_beyond_retention_is_refused():
+    k4 = _make_pattern("K4", 4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+    assert k4.max_twins == 4 > RETAIN
+    with pytest.raises(ValueError):
+        find_induced_pattern(build_power_graph(build_group("C8")), k4)
 
 
 # -- witness verification ------------------------------------------------------------
@@ -233,6 +263,62 @@ def test_triangle_free_square():
     c4 = _ring(4)
     assert find_hole(c4, min_len=3).pattern == "C4"
     assert find_induced_pattern(c4, "C3") is None
+
+
+def test_long_cycle_is_searched_without_recursion():
+    """A 1,500-vertex hole is longer than the interpreter's recursion limit."""
+    ring = _ring(1500)
+    w = find_hole(ring)
+    assert w is not None and w.vertices == tuple(range(1500))
+    verdict, witness = is_chordal(ring)
+    assert verdict is False and witness == w
+
+
+def _twin_rich_graph(rng):
+    """A random graph on a few base vertices, grown by closed and open twins."""
+    base = rng.randrange(3, 7)
+    adj = [0] * base
+    for u in range(base):
+        for v in range(u + 1, base):
+            if rng.random() < 0.5:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    for v in range(base, base + rng.randrange(3, 8)):
+        src = rng.randrange(v)
+        row = adj[src] | (1 << src if rng.random() < 0.5 else 0)
+        adj.append(row)
+        for u in range(v):
+            if row >> u & 1:
+                adj[u] |= 1 << v
+    return Graph(adj)
+
+
+def _unreduced(graph):
+    """Singleton classes: searches on this run over the whole graph."""
+    full = (1 << graph.n) - 1
+    return TwinReducedGraph(graph, [[v] for v in range(graph.n)],
+                            list(range(graph.n)), list(range(graph.n)), graph,
+                            [0] + [full] * RETAIN)
+
+
+def test_reduced_search_finds_the_unreduced_first_witness():
+    """Twin reduction and the per-pattern retention leave the first witness
+    of every pattern and of every hole search unchanged."""
+    rng = random.Random(4)
+    large_classes = 0
+    for trial in range(150):
+        g = _twin_rich_graph(rng)
+        red, whole = twin_reduce(g), _unreduced(g)
+        large_classes += max(len(c) for c in red.classes) > RETAIN
+        for name in PATTERNS:
+            assert find_induced_pattern(red, name) == find_induced_pattern(whole, name), (
+                trial, name, g.adj)
+        for parity in ("any", "even", "odd"):
+            for min_len in (3, 4, 5):
+                assert (find_hole(red, parity=parity, min_len=min_len)
+                        == find_hole(whole, parity=parity, min_len=min_len)), (
+                    trial, parity, min_len, g.adj)
+    assert large_classes >= 30
 
 
 def test_hole_search_against_naive_enumeration():

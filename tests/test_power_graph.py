@@ -11,6 +11,7 @@ from pglab import (
     find_induced_pattern,
     twin_reduce,
 )
+from pglab.power_graph import RETAIN
 from naive_oracle import naive_power_graph_sets
 
 # -- construction against the naive adjacency oracle -----------------------------
@@ -124,11 +125,10 @@ def test_twin_reduce_caps_class_size():
     graph = build_power_graph(build_group("E2^4"))  # star on 16 vertices
     red = twin_reduce(graph)
     assert red.class_count == 2  # {identity} and the 15 open-twin involutions
-    assert len(red.retained) == 6  # 1 + cap
-    tight = twin_reduce(graph, cap=1)
-    assert len(tight.retained) == 2
-    with pytest.raises(ValueError):
-        twin_reduce(graph, cap=0)
+    assert RETAIN == 3
+    assert red.retained == [0, 1, 2, 3]  # the identity and 3 involutions
+    # rank_masks[m]: the first m retained members of each class
+    assert red.rank_masks == [0b0000, 0b0011, 0b0111, 0b1111]
 
 
 def test_twin_reduce_maps_every_vertex():
