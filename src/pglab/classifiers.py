@@ -18,10 +18,12 @@ field-size parameter q.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from .group_kernel import Group, _is_power_of
+from .group_kernel import Group
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -41,6 +43,12 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def _is_power_of(n: int, p: int) -> bool:
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 def is_prime(n: int) -> bool:
@@ -95,9 +103,9 @@ class StructureFlags:
 def compute_structure_flags(group: Group) -> StructureFlags:
     order = group.order
     fac = tuple(factorize(order))
-    profile = group.element_order_profile()
-    orders = list(group.element_orders())
-    exponent = group.exponent()
+    orders = group.element_orders()
+    profile = Counter(orders)
+    exponent = math.lcm(*orders)
     primes = [p for p, _ in fac]
 
     normal_sylow: dict[int, bool] = {}

@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial, gcd
 
+from .classifiers import is_prime, is_prime_power
 from .finite_field import (
-    _is_prime,
     construct_field,
     element_index,
     index_tables,
@@ -225,7 +225,7 @@ def generalized_quaternion(order: int, cap: int | None = None) -> Group:
 def elementary_abelian(p: int, k: int, cap: int | None = None) -> Group:
     if k < 1:
         raise ValueError(f"elementary abelian needs k >= 1, got {k}")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"elementary abelian needs prime base, got {p}")
     order = p ** k
     _check_cap(order, cap, f"E{p}^{k}")
@@ -275,7 +275,12 @@ Matrix = tuple[tuple[int, int], tuple[int, int]]
 
 def _matrix_ops(q: int):
     """Return (spec, matmul, neg_matrix, identity, render) over GF(q) indices."""
-    p, k = _prime_power(q)
+    if q < 2:
+        raise ValueError(f"field size must be a prime power >= 2, got {q}")
+    pk = is_prime_power(q)
+    if pk is None:
+        raise ValueError(f"{q} is not a prime power")
+    p, k = pk
     spec = construct_field(p, k)
     add, mul, neg, _inv = index_tables(spec)
 
@@ -399,19 +404,3 @@ def _check_cap(order: int, cap: int | None, label: str) -> None:
     effective = resolve_cap(cap)
     if order > effective:
         raise CapExceededError(f"{label} has order {order}, exceeding cap {effective}")
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise ValueError(f"field size must be a prime power >= 2, got {q}")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            rem = q
-            while rem % p == 0:
-                rem //= p
-                k += 1
-            if rem != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, k
-    raise ValueError(f"{q} is not a prime power")  # pragma: no cover

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iproduct
 
+from .classifiers import is_prime
+
 MAX_FIELD_SIZE = 1 << 16
 
 # Little-endian monic moduli, pinned so the element encoding never drifts.
@@ -49,21 +51,6 @@ class FieldElement:
     """Polynomial coefficients, little-endian, always exactly k entries."""
 
     coeffs: tuple[int, ...]
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def _poly_mod(coeffs: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
@@ -123,7 +110,7 @@ def construct_field(p: int, k: int) -> FieldSpec:
 
     Raises ValueError if p is not prime, k < 1, or p^k exceeds MAX_FIELD_SIZE.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -2,9 +2,13 @@
 
 A Group stores its elements as an indexed tuple of opaque hashable payloads
 (index 0 is always the identity) plus a composition function over indices.
-Everything downstream — orders, cyclic closures, power graphs — works on the
+Everything downstream — orders, cyclic subgroups, power graphs — works on the
 integer indices, so the payload representation (permutation tuples, matrix
 tuples, residue pairs) only matters inside `compose` and `render`.
+
+`Group.cyclic_subgroups` walks the powers of one generator of each cyclic
+subgroup once.  The power graph is built from its output, and the element
+orders are read off the same walk, since o(u^k) = o(u) / gcd(k, o(u)).
 
 Element order of a BFS closure is deterministic: identity first, then the
 generators in the order given, then products in breadth-first discovery
@@ -15,10 +19,9 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 DEFAULT_GROUP_CAP = 10080
-TABLE_CACHE_MAX = 2048
 
 Payload = Hashable
 
@@ -54,9 +57,7 @@ class Group:
         self._compose_payloads = compose_payloads
         self.label = label
         self._render = render_payload or repr
-        self._inverses: list[int | None] = [None] * len(self._elements)
-        self._orders: list[int | None] = [None] * len(self._elements)
-        self._table: tuple[tuple[int, ...], ...] | None = None
+        self._orders: list[int] | None = None
 
     @property
     def order(self) -> int:
@@ -74,46 +75,49 @@ class Group:
     def compose(self, i: int, j: int) -> int:
         return self._index[self._compose_payloads(self._elements[i], self._elements[j])]
 
-    def inverse(self, i: int) -> int:
-        """i^(o(i)-1), i.e. the last power before the cycle returns to 0."""
-        cached = self._inverses[i]
-        if cached is not None:
-            return cached
-        if i == 0:
-            inv = 0
-        else:
-            prev = i
-            x = self.compose(i, i)
+    def cyclic_subgroups(self) -> Iterator[tuple[list[int], list[int]]]:
+        """Yield (generators, members) once for every cyclic subgroup <u>.
+
+        Elements are taken in index order, skipping any that generates a
+        subgroup already yielded.  For a new u, one walk u, u^2, ..., u^o = 0
+        gives the members in power order; the generators are the u^k with
+        gcd(k, o) = 1.  A complete walk fills the order cache on the way,
+        since o(u^k) = o / gcd(k, o).  Cost: about the sum of |<u>| over the
+        distinct subgroups, instead of the sum of o(u) over all elements.
+        """
+        n = self.order
+        orders = [0] * n
+        done = bytearray(n)
+        for u in range(n):
+            if done[u]:
+                continue
+            members = [u]
+            x = u
             while x != 0:
-                prev = x
-                x = self.compose(x, i)
-            inv = prev
-        self._inverses[i] = inv
-        return inv
+                x = self.compose(x, u)
+                members.append(x)
+            o = len(members)
+            generators = []
+            for k, x in enumerate(members, 1):
+                d = math.gcd(k, o)
+                orders[x] = o // d
+                if d == 1:
+                    generators.append(x)
+                    done[x] = 1
+            yield generators, members
+        self._orders = orders
+
+    def _order_cache(self) -> list[int]:
+        if self._orders is None:
+            for _ in self.cyclic_subgroups():
+                pass
+        return self._orders
 
     def element_order(self, i: int) -> int:
-        cached = self._orders[i]
-        if cached is not None:
-            return cached
-        n = 1
-        x = i
-        while x != 0:
-            x = self.compose(x, i)
-            n += 1
-        self._orders[i] = n
-        return n
+        return self._order_cache()[i]
 
     def element_orders(self) -> list[int]:
-        return [self.element_order(i) for i in range(self.order)]
-
-    def cyclic_closure(self, i: int) -> set[int]:
-        """The cyclic subgroup generated by element i, as a set of indices."""
-        out = {0}
-        x = i
-        while x != 0:
-            out.add(x)
-            x = self.compose(x, i)
-        return out
+        return list(self._order_cache())
 
     def exponent(self) -> int:
         return math.lcm(*self.element_orders()) if self.order else 1
@@ -125,46 +129,8 @@ class Group:
             profile[o] = profile.get(o, 0) + 1
         return dict(sorted(profile.items()))
 
-    def p_element_set(self, p: int) -> set[int]:
-        """All elements whose order is a power of p (identity included)."""
-        return {i for i in range(self.order)
-                if _is_power_of(self.element_order(i), p)}
-
-    def is_closed_subset(self, subset: Iterable[int]) -> bool:
-        """Whether the subset is closed under composition (early exit)."""
-        s = set(subset)
-        for a in s:
-            for b in s:
-                if self.compose(a, b) not in s:
-                    return False
-        return True
-
-    def conjugate(self, g: int, i: int) -> int:
-        """g * i * g^{-1}."""
-        return self.compose(self.compose(g, i), self.inverse(g))
-
-    def multiplication_table(self) -> tuple[tuple[int, ...], ...]:
-        """Dense |G| x |G| composition table (cached; only for |G| <= 2048)."""
-        if self._table is not None:
-            return self._table
-        if self.order > TABLE_CACHE_MAX:
-            raise CapExceededError(
-                f"multiplication table limited to order {TABLE_CACHE_MAX}, "
-                f"group has order {self.order}")
-        self._table = tuple(
-            tuple(self.compose(i, j) for j in range(self.order))
-            for i in range(self.order)
-        )
-        return self._table
-
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"Group({self.label}, order={self.order})"
-
-
-def _is_power_of(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def close_generators(

@@ -37,7 +37,7 @@ def _make_pattern(name: str, size: int, edges: tuple[tuple[int, int], ...]) -> P
     for u, v in edges:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    degrees = tuple(bin(m).count("1") for m in masks)
+    degrees = tuple(m.bit_count() for m in masks)
     closed = Counter(m | 1 << v for v, m in enumerate(masks))
     opened = Counter(masks)
     max_twins = max(max(closed.values()), max(opened.values()))

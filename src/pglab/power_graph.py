@@ -2,7 +2,10 @@
 
 `build_power_graph` joins u ~ v whenever one lies in the cyclic subgroup
 generated by the other; with proper=True the identity vertex is removed
-(vertex i of the proper graph is group element i+1).
+(vertex i of the proper graph is group element i+1).  It walks each cyclic
+subgroup C once (`Group.cyclic_subgroups`) and joins every generator of C to
+every member of C, so the cost follows the sum of |C| over the distinct
+cyclic subgroups rather than the sum of the element orders.
 
 `twin_reduce` shrinks a graph by interchangeability classes (vertices with
 identical closed neighborhoods — adjacent twins — or identical open
@@ -40,7 +43,7 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        return bin(self.adj[v]).count("1")
+        return self.adj[v].bit_count()
 
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2
@@ -115,21 +118,20 @@ def build_power_graph(group: Group, proper: bool = False) -> Graph:
     """
     n = group.order
     adj = [0] * n
-    for u in range(1, n):
-        bits = 0
-        x = u
-        while x != 0:
-            bits |= 1 << x
-            x = group.compose(x, u)
-        # <u> contains the identity and u itself; u ~ every other member.
-        bits |= 1
-        bits &= ~(1 << u)
-        adj[u] |= bits
-        mask = bits
-        while mask:
-            low = mask & -mask
-            adj[low.bit_length() - 1] |= 1 << u
-            mask ^= low
+    # u ~ v iff one generates a cyclic subgroup that contains the other.
+    for generators, members in group.cyclic_subgroups():
+        member_bits = 0
+        for x in members:
+            member_bits |= 1 << x
+        generator_bits = 0
+        for g in generators:
+            adj[g] |= member_bits
+            generator_bits |= 1 << g
+        for x in members:
+            adj[x] |= generator_bits
+    # v generates <v> and lies in it, so bit v is set in row v: drop it.
+    for v in range(n):
+        adj[v] ^= 1 << v
     labels = [group.render(i) for i in range(n)]
     if not proper:
         return Graph(adj, labels)

@@ -1,14 +1,17 @@
 """Deliberately naive reference implementations used only by the tests.
 
 Nothing here shares algorithms with the package: adjacency comes from
-explicit power enumeration, pattern detection from direct k-subset
+explicit power enumeration (for `reference_power_graph`, one walk over
+every element's powers), pattern detection from direct k-subset
 enumeration against permutation-closed edge-mask tables, and hole/chordality
 checks from subset enumeration.  Slow on purpose; kept honest on purpose.
 """
 
+from functools import cache
 from itertools import combinations, permutations
 
-from pglab import PATTERNS
+from pglab import PATTERNS, Graph
+from pglab.group_kernel import CapExceededError
 
 # -- power graph adjacency oracle ---------------------------------------------
 
@@ -35,6 +38,32 @@ def naive_power_graph_sets(group, proper=False):
     if not proper:
         return adj
     return [{w - 1 for w in adj[v] if w != 0} for v in range(1, n)]
+
+
+def reference_power_graph(group, proper=False):
+    """The power graph built one element at a time: walk each u's powers
+    and join u to every member of <u>, in both directions."""
+    n = group.order
+    adj = [0] * n
+    for u in range(1, n):
+        bits = 0
+        x = u
+        while x != 0:
+            bits |= 1 << x
+            x = group.compose(x, u)
+        # <u> contains the identity and u itself; u ~ every other member.
+        bits |= 1
+        bits &= ~(1 << u)
+        adj[u] |= bits
+        mask = bits
+        while mask:
+            low = mask & -mask
+            adj[low.bit_length() - 1] |= 1 << u
+            mask ^= low
+    labels = [group.render(i) for i in range(n)]
+    if not proper:
+        return Graph(adj, labels)
+    return Graph([row >> 1 for row in adj[1:]], labels[1:])
 
 
 # -- naive induced-pattern search ----------------------------------------------
@@ -180,6 +209,61 @@ def naive_hole_lengths(graph, min_len=4):
 
 # -- group-theory oracles ----------------------------------------------------------
 
+TABLE_CACHE_MAX = 2048
+
+
+def cyclic_closure(group, i):
+    """The cyclic subgroup generated by element i, as a set of indices."""
+    out = {0}
+    x = i
+    while x != 0:
+        out.add(x)
+        x = group.compose(x, i)
+    return out
+
+
+def inverse(group, i):
+    """i^(o(i)-1), i.e. the last power before the cycle returns to 0."""
+    prev, x = i, group.compose(i, i)
+    while x != 0:
+        prev = x
+        x = group.compose(x, i)
+    return prev
+
+
+def conjugate(group, g, i):
+    """g * i * g^{-1}."""
+    return group.compose(group.compose(g, i), inverse(group, g))
+
+
+def p_element_set(group, p):
+    """All elements whose order is a power of p (identity included)."""
+    return {i for i in range(group.order)
+            if _is_power_of(naive_element_order(group, i), p)}
+
+
+def is_closed_subset(group, subset):
+    """Whether the subset is closed under composition (early exit)."""
+    s = set(subset)
+    for a in s:
+        for b in s:
+            if group.compose(a, b) not in s:
+                return False
+    return True
+
+
+@cache
+def multiplication_table(group):
+    """Dense |G| x |G| composition table (cached; only for |G| <= 2048)."""
+    if group.order > TABLE_CACHE_MAX:
+        raise CapExceededError(
+            f"multiplication table limited to order {TABLE_CACHE_MAX}, "
+            f"group has order {group.order}")
+    return tuple(
+        tuple(group.compose(i, j) for j in range(group.order))
+        for i in range(group.order)
+    )
+
 
 def naive_element_order(group, v):
     """Order by repeated composition against a fresh accumulator."""
@@ -207,11 +291,10 @@ def naive_is_nilpotent(group):
 def naive_normal_sylow(group, p):
     """The Sylow p-subgroup is normal iff the set of p-elements is closed
     under conjugation and multiplication (checked directly)."""
-    pset = {v for v in range(group.order)
-            if _is_power_of(naive_element_order(group, v), p)}
+    pset = p_element_set(group, p)
     for g in range(group.order):
         for s in pset:
-            if group.conjugate(g, s) not in pset:
+            if conjugate(group, g, s) not in pset:
                 return False
     for a in pset:
         for b in pset:

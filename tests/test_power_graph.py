@@ -11,8 +11,13 @@ from pglab import (
     find_induced_pattern,
     twin_reduce,
 )
+from pglab.harness import DEFAULT_CORPUS_SPECS
 from pglab.power_graph import RETAIN
-from naive_oracle import naive_power_graph_sets
+from naive_oracle import (
+    naive_element_order,
+    naive_power_graph_sets,
+    reference_power_graph,
+)
 
 # -- construction against the naive adjacency oracle -----------------------------
 
@@ -28,6 +33,43 @@ def test_power_graph_matches_naive_adjacency(spec, proper):
     assert graph.n == len(expected)
     for v in range(graph.n):
         assert set(graph.neighbors(v)) == expected[v], (spec, proper, v)
+
+
+@pytest.mark.parametrize("spec", DEFAULT_CORPUS_SPECS + ("C360", "C4xC9xC5"))
+def test_build_from_cyclic_subgroups_matches_per_element_walk(spec):
+    """Adjacency and element orders equal the per-element reference, whether
+    the orders or the graph fill the order cache first."""
+    orders_first = build_group(spec)
+    expected_orders = [naive_element_order(orders_first, v)
+                       for v in range(orders_first.order)]
+    assert orders_first.element_orders() == expected_orders
+    graph_first = build_group(spec)
+    for proper in (False, True):
+        expected = reference_power_graph(graph_first, proper=proper)
+        assert build_power_graph(graph_first, proper=proper).adj == expected.adj
+        assert build_power_graph(orders_first, proper=proper).adj == expected.adj
+    assert graph_first.element_orders() == expected_orders
+    assert orders_first.element_orders() == expected_orders
+
+
+def test_build_and_orders_walk_each_cyclic_subgroup_once(monkeypatch):
+    """C360 has one cyclic subgroup per divisor d of 360, so one walk over
+    each costs under sigma(360) = 1,170 compositions; a walk per element
+    costs about the sum of d * phi(d), 55,083."""
+    group = build_group("C360")
+    calls = 0
+    compose = group.compose
+
+    def counting_compose(i, j):
+        nonlocal calls
+        calls += 1
+        return compose(i, j)
+
+    monkeypatch.setattr(group, "compose", counting_compose)
+    build_power_graph(group, proper=True)
+    group.element_orders()
+    group.element_order(7)
+    assert 0 < calls <= sum(d for d in range(1, 361) if 360 % d == 0)
 
 
 def test_no_self_loops_and_symmetry():
