@@ -62,10 +62,7 @@ from .patterns import (
     Witness,
     find_hole,
     find_induced_pattern,
-    is_chain_graph,
-    is_chordal,
     is_cograph,
-    is_free,
     verify_witness,
 )
 from .classifiers import (

@@ -150,31 +150,15 @@ def _as_flags(g: Group | StructureFlags) -> StructureFlags:
 
 def rhs_chain(f: StructureFlags) -> bool:
     """Proper power graph is a chain graph  ⟺  one of:
-    trivial; order 3; exponent-2 2-group; EPO of order 3*2^s (s >= 2) with
-    normal (cyclic) Sylow-3 and non-cyclic exponent-2 Sylow-2; non-cyclic
-    order 6."""
-    if f.order == 1:
-        return True
-    if f.order == 3:
-        return True
-    if f.is_exponent2_2group:
-        return True
-    if rhs_chain_case_c(f):
-        return True
-    return f.order == 6 and not f.is_cyclic
+    trivial; order 3; exponent-2 2-group; non-cyclic order 6.
 
-
-def rhs_chain_case_c(f: StructureFlags) -> bool:
-    """The third family alone (EPO, 3*2^s, normal Sylow-3, exponent-2
-    non-cyclic Sylow-2) — reported separately because no known small group
-    satisfies it."""
-    return (f.is_epo
-            and dict(f.factorization).get(3) == 1
-            and set(f.primes) == {2, 3}
-            and dict(f.factorization)[2] >= 2
-            and f.normal_sylow[3]
-            and f.sylow_exponent[2] == 2
-            and not f.sylow_cyclic[2])
+    The statement also lists EPO groups of order 3*2^s (s >= 2) with a normal
+    Sylow-3 P = <x> and a non-cyclic exponent-2 Sylow-2, but no group is one:
+    G/C_G(P) embeds in Aut(P) = C2, so C_G(P) has order at least 3*2^(s-1)
+    and, that being even, holds an involution t; then xt has order 6, and G
+    is not EPO."""
+    return (f.order in (1, 3) or f.is_exponent2_2group
+            or (f.order == 6 and not f.is_cyclic))
 
 
 def rhs_p5_nilpotent(f: StructureFlags) -> bool:

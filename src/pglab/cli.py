@@ -32,7 +32,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="analyze one group")
     p_analyze.add_argument("spec", help="group spec, e.g. C12, S5, SD(7,3,2), C3xC4")
     p_analyze.add_argument("--proper", action="store_true",
-                           help="use the proper power graph (identity removed)")
+                           help="report on P*(G) (identity removed), not P(G); the "
+                                "pattern scan runs on P*(G) and witnesses are given "
+                                "for the chosen graph")
     p_analyze.add_argument("--patterns", default=None,
                            help="comma-separated pattern subset (default: all)")
     p_analyze.add_argument("--export", nargs=2, metavar=("FMT", "PATH"),
@@ -71,8 +73,9 @@ def _cmd_analyze(args) -> int:
     report = analyze_group(args.spec, proper=args.proper, patterns=patterns, cap=cap)
     if args.export:
         fmt, path = args.export
+        text = export_graph(report.graph, fmt)  # an unknown format raises here
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(export_graph(report.graph, fmt))
+            fh.write(text)
     doc = report.to_dict()
     if args.as_json:
         print(json.dumps(doc, indent=2, sort_keys=True))

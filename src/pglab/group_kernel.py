@@ -119,16 +119,6 @@ class Group:
     def element_orders(self) -> list[int]:
         return list(self._order_cache())
 
-    def exponent(self) -> int:
-        return math.lcm(*self.element_orders()) if self.order else 1
-
-    def element_order_profile(self) -> dict[int, int]:
-        """Map order -> number of elements of that order."""
-        profile: dict[int, int] = {}
-        for o in self.element_orders():
-            profile[o] = profile.get(o, 0) + 1
-        return dict(sorted(profile.items()))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"Group({self.label}, order={self.order})"
 

@@ -4,10 +4,10 @@ Each row of the case table `classifiers.CASES` pairs a graph-side check
 (pattern freeness, then optionally a hole search) with a structural
 right-hand side.  The harness evaluates both independently on every corpus
 member the row covers and reports agreement, with witnesses for the failing
-graph sides.  Every graph side is checked on P*(G): the statements about
-P(G) forbid only patterns (and holes) without a vertex adjacent to all the
-others, so the identity never takes part and P(G) gives the same verdicts
-and witness labels.
+graph sides.  The harness and `analyze_group` search only P*(G).  P(G) adds
+the identity, adjacent to every other vertex, which lies in no induced copy
+of a pattern or hole without such a dominating vertex: those have the same
+first witness on both graphs.  C3 and the diamond are the exceptions (`_find`).
 
 Reports are deterministic: entry order follows the corpus, witnesses come
 from the deterministic searches, and the only run-dependent field is the
@@ -26,7 +26,6 @@ from .classifiers import (
     THEOREM_IDS,
     compute_structure_flags,
     factorize,
-    rhs_chain_case_c,
     rhs_predicate,
 )
 from .constructors import (
@@ -44,9 +43,7 @@ from .patterns import (
     Witness,
     find_hole,
     find_induced_pattern,
-    is_chain_graph,
-    is_chordal,
-    is_cograph,
+    _make_pattern,
     _mcs_is_chordal,
 )
 from .power_graph import (
@@ -55,6 +52,7 @@ from .power_graph import (
     build_power_graph,
     build_prime_graph,
     twin_reduce,
+    with_identity,
 )
 
 DEFAULT_CORPUS_SPECS: tuple[str, ...] = tuple(
@@ -124,10 +122,8 @@ def load_corpus(path: str) -> Corpus:
 
 
 class GroupBundle:
-    """Per-group lazy cache: group, flags, power graph and its reduction.
-
-    The harness asks only for P*(G) (proper=True); `analyze_group` may ask for
-    P(G)."""
+    """Per-group lazy cache: group, flags, and the twin reduction of P*(G),
+    the one graph that is searched (its `original` is P*(G) itself)."""
 
     def __init__(self, spec: GroupSpec, cap: int | None, label: str | None = None):
         self.spec = spec
@@ -135,8 +131,7 @@ class GroupBundle:
         self.label = label if label is not None else spec_label(spec)
         self._group: Group | None = None
         self._flags: StructureFlags | None = None
-        self._graphs: dict[bool, Graph] = {}
-        self._reductions: dict[bool, TwinReducedGraph] = {}
+        self._reduction: TwinReducedGraph | None = None
 
     @property
     def group(self) -> Group:
@@ -150,15 +145,12 @@ class GroupBundle:
             self._flags = compute_structure_flags(self.group)
         return self._flags
 
-    def graph(self, proper: bool) -> Graph:
-        if proper not in self._graphs:
-            self._graphs[proper] = build_power_graph(self.group, proper=proper)
-        return self._graphs[proper]
-
     def reduction(self, proper: bool) -> TwinReducedGraph:
-        if proper not in self._reductions:
-            self._reductions[proper] = twin_reduce(self.graph(proper))
-        return self._reductions[proper]
+        if not proper:
+            raise ValueError("only P*(G) is reduced; P(G) is answered from it")
+        if self._reduction is None:
+            self._reduction = twin_reduce(build_power_graph(self.group, proper=True))
+        return self._reduction
 
 
 @dataclass(frozen=True)
@@ -303,12 +295,6 @@ class Harness:
     def run_all(self) -> list[VerificationReport]:
         return [self.run_case(tid) for tid in THEOREM_IDS]
 
-    def chain_case_c_instances(self) -> list[str]:
-        """Corpus members satisfying the (conjecturally vacuous) third chain
-        family; reported so the open question stays visible."""
-        return [self.bundle(e).label for e in self.corpus.entries
-                if rhs_chain_case_c(self.bundle(e).flags)]
-
 
 @dataclass(frozen=True)
 class AnalysisReport:
@@ -327,9 +313,6 @@ class AnalysisReport:
     graph: Graph = field(repr=False, compare=False)  # the graph analyzed
 
     def to_dict(self) -> dict:
-        def wlabels(w: Witness | None):
-            return list(w.labels) if w is not None else None
-
         return {
             "group": self.label,
             "order": self.order,
@@ -353,43 +336,68 @@ class AnalysisReport:
                 "edges": [list(e) for e in self.prime_graph_edges],
                 "null": self.prime_graph_null,
             },
-            "patterns": {name: wlabels(w) for name, w in self.patterns.items()},
+            "patterns": {name: list(w.labels) if w is not None else None
+                         for name, w in self.patterns.items()},
             "cograph": self.cograph,
             "chordal": self.chordal,
             "chain": self.chain,
         }
 
 
+# C3 and the diamond without their first vertex in search order, which is
+# adjacent to all the others: an edge, and a path on three vertices, centre first.
+_REST_AFTER_IDENTITY = {"C3": _make_pattern("K2", 2, ((0, 1),)),
+                        "diamond": _make_pattern("P3", 3, ((0, 1), (0, 2)))}
+
+
+def _find(red: TwinReducedGraph, name: str, proper: bool,
+          identity: str) -> Witness | None:
+    """First witness of a catalog pattern on P*(G), or else on P(G) (whose
+    vertex ids are element ids), from the reduction of P*(G).  A first P(G)
+    copy of C3 or the diamond puts the identity in that first vertex and the
+    first P*(G) copy of the rest after it."""
+    rest = None if proper else _REST_AFTER_IDENTITY.get(name)
+    w = find_induced_pattern(red, rest or name)
+    if w is None or proper:
+        return w
+    if rest is None:
+        return Witness(name, tuple(v + 1 for v in w.vertices), w.labels)
+    return Witness(name, (0,) + tuple(v + 1 for v in w.vertices),
+                   (identity,) + w.labels)
+
+
 def analyze_group(spec_text: str, proper: bool = False,
                   patterns: list[str] | None = None,
                   cap: int | None = None) -> AnalysisReport:
-    """Full single-group document: flags, prime graph, freeness, witnesses."""
+    """Full single-group document: flags, prime graph, freeness, witnesses,
+    for P*(G) if `proper`, else for P(G).  Cographs are the P4-free graphs and
+    chain graphs the {C3, C5, 2K2}-free ones, so those four are always searched."""
     spec = parse_group_spec(spec_text)
-    bundle = GroupBundle(spec, cap)
-    group = bundle.group
-    flags = bundle.flags
-    red = bundle.reduction(proper)
-    prime_graph = build_prime_graph(group)
     names = list(PATTERNS) if patterns is None else list(patterns)
     for name in names:
         if name not in PATTERNS:
             raise ValueError(f"unknown pattern {name!r}")
-    found = {name: find_induced_pattern(red, name) for name in names}
-    cograph, _ = is_cograph(red)
-    chordal, _ = is_chordal(red)
-    chain, _ = is_chain_graph(red)
+    bundle = GroupBundle(spec, cap)
+    group = bundle.group
+    # Built first: its cyclic-subgroup walk fills the element orders that the
+    # flags and the prime graph read.
+    red = bundle.reduction(True)
+    identity = group.render(0)
+    found = {name: _find(red, name, proper, identity)
+             for name in dict.fromkeys(names + ["P4", "C3", "C5", "2K2"])}
+    prime_graph = build_prime_graph(group)
     return AnalysisReport(
         label=bundle.label,
         order=group.order,
         factorization=tuple(factorize(group.order)),
-        flags=flags,
+        flags=bundle.flags,
         proper=proper,
         prime_graph_primes=prime_graph.primes,
         prime_graph_edges=tuple(prime_graph.graph.edges()),
         prime_graph_null=prime_graph.is_null,
-        patterns=found,
-        cograph=cograph,
-        chordal=chordal,
-        chain=chain,
-        graph=bundle.graph(proper),
+        patterns={name: found[name] for name in names},
+        cograph=found["P4"] is None,
+        chordal=_mcs_is_chordal(red.graph),
+        chain=all(found[name] is None for name in ("C3", "C5", "2K2")),
+        graph=red.original if proper else with_identity(red.original, identity),
     )

@@ -146,48 +146,15 @@ def find_induced_pattern(g: Graph | TwinReducedGraph,
     return witness
 
 
-def is_free(g: Graph | TwinReducedGraph,
-            patterns: list[str] | None = None) -> dict[str, Witness | None]:
-    """Map pattern name -> first witness (None = free), in catalog order."""
-    red = _as_reduction(g)
-    names = list(PATTERNS) if patterns is None else list(patterns)
-    return {name: find_induced_pattern(red, name) for name in names}
-
-
 def is_cograph(g: Graph | TwinReducedGraph) -> tuple[bool, Witness | None]:
     w = find_induced_pattern(g, "P4")
     return (w is None, w)
 
 
-def is_chain_graph(g: Graph | TwinReducedGraph) -> tuple[bool, Witness | None]:
-    """Chain graphs are exactly the {C3, C5, 2K2}-free graphs."""
-    red = _as_reduction(g)
-    for name in ("C3", "C5", "2K2"):
-        w = find_induced_pattern(red, name)
-        if w is not None:
-            return (False, w)
-    return (True, None)
-
-
-def is_chordal(g: Graph | TwinReducedGraph) -> tuple[bool, Witness | None]:
-    """Maximum-cardinality search + elimination-order verification.
-
-    Twin reduction preserves holes in both directions (an induced cycle of
-    length >= 4 meets each closed class at most once and each open class at
-    most twice), so checking the reduced graph is equivalent.  On failure the
-    witness is an induced cycle of length >= 4 from find_hole.
-    """
-    red = _as_reduction(g)
-    s = red.graph
-    if _mcs_is_chordal(s):
-        return (True, None)
-    w = find_hole(red, parity="any", min_len=4)
-    if w is None:  # pragma: no cover
-        raise RuntimeError("chordality check failed but no hole was found")
-    return (False, w)
-
-
 def _mcs_is_chordal(s: Graph) -> bool:
+    """Whether `s` has no hole (maximum-cardinality search, then a perfect
+    elimination order check).  Twin reduction keeps every hole, so a
+    reduction's search graph answers for the whole graph."""
     n = s.n
     if n == 0:
         return True

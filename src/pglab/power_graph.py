@@ -1,11 +1,12 @@
 """Undirected graphs on group elements, stored as Python-int bitsets.
 
 `build_power_graph` joins u ~ v whenever one lies in the cyclic subgroup
-generated by the other; with proper=True the identity vertex is removed
-(vertex i of the proper graph is group element i+1).  It walks each cyclic
-subgroup C once (`Group.cyclic_subgroups`) and joins every generator of C to
-every member of C, so the cost follows the sum of |C| over the distinct
-cyclic subgroups rather than the sum of the element orders.
+generated by the other.  It walks each cyclic subgroup C once
+(`Group.cyclic_subgroups`) and joins every generator of C to every member of
+C, so the cost follows the sum of |C| over the distinct cyclic subgroups
+rather than the sum of the element orders.  The proper power graph P*(G)
+drops the identity (vertex i of P*(G) is group element i+1); P(G) is P*(G)
+plus the identity, adjacent to every other vertex (`with_identity`).
 
 `twin_reduce` shrinks a graph by interchangeability classes (vertices with
 identical closed neighborhoods — adjacent twins — or identical open
@@ -45,9 +46,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def edge_count(self) -> int:
-        return sum(self.degree(v) for v in range(self.n)) // 2
-
     def edges(self) -> list[tuple[int, int]]:
         """Sorted list of (u, v) pairs with u < v."""
         out = []
@@ -60,22 +58,6 @@ class Graph:
                 rest >>= 1
                 v += 1
         return out
-
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        mask = self.adj[v]
-        u = 0
-        while mask:
-            if mask & 1:
-                out.append(u)
-            mask >>= 1
-            u += 1
-        return out
-
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        return Graph([(full & ~self.adj[v]) & ~(1 << v) for v in range(self.n)],
-                     list(self.labels))
 
     def induced(self, vertices: list[int]) -> "Graph":
         """Induced subgraph; vertex k of the result is vertices[k]."""
@@ -129,13 +111,18 @@ def build_power_graph(group: Group, proper: bool = False) -> Graph:
             generator_bits |= 1 << g
         for x in members:
             adj[x] |= generator_bits
-    # v generates <v> and lies in it, so bit v is set in row v: drop it.
-    for v in range(n):
-        adj[v] ^= 1 << v
-    labels = [group.render(i) for i in range(n)]
-    if not proper:
-        return Graph(adj, labels)
-    return Graph([row >> 1 for row in adj[1:]], labels[1:])
+    # v generates <v> and lies in it, so bit v is set in row v: drop it, and
+    # drop bit 0, the identity, which every row holds.
+    star = Graph([(adj[v] ^ 1 << v) >> 1 for v in range(1, n)],
+                 [group.render(i) for i in range(1, n)])
+    return star if proper else with_identity(star, group.render(0))
+
+
+def with_identity(star: Graph, label: str) -> Graph:
+    """P(G) from P*(G): a new vertex 0, the identity, adjacent to every other
+    vertex; vertex i of P*(G) becomes vertex i+1."""
+    return Graph([(1 << star.n + 1) - 2] + [row << 1 | 1 for row in star.adj],
+                 [label] + star.labels)
 
 
 @dataclass
@@ -150,10 +137,6 @@ class TwinReducedGraph:
     # rank_masks[m]: search-graph vertices among the first m members of their
     # class, for m = 0..RETAIN.
     rank_masks: list[int] = field(repr=False)
-
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
 
 
 def twin_reduce(graph: Graph) -> TwinReducedGraph:

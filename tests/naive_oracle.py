@@ -5,13 +5,21 @@ explicit power enumeration (for `reference_power_graph`, one walk over
 every element's powers), pattern detection from direct k-subset
 enumeration against permutation-closed edge-mask tables, and hole/chordality
 checks from subset enumeration.  Slow on purpose; kept honest on purpose.
+
+The last section is different: it keeps, as free functions, graph and group
+helpers that the package no longer calls, for the tests written against
+them.  Those wrap the package's own searches.
 """
 
+import math
+from collections import Counter
 from functools import cache
 from itertools import combinations, permutations
 
-from pglab import PATTERNS, Graph
+from pglab import (PATTERNS, Graph, TwinReducedGraph, find_hole, find_induced_pattern,
+                   twin_reduce)
 from pglab.group_kernel import CapExceededError
+from pglab.patterns import _mcs_is_chordal
 
 # -- power graph adjacency oracle ---------------------------------------------
 
@@ -307,3 +315,57 @@ def _is_power_of(n, p):
     while n % p == 0:
         n //= p
     return n == 1
+
+
+# -- retired package API -----------------------------------------------------------
+
+
+def neighbors(graph, v):
+    """Ascending neighbour ids of v."""
+    return [u for u in range(graph.n) if graph.adj[v] >> u & 1]
+
+
+def complement(graph):
+    full = (1 << graph.n) - 1
+    return Graph([full & ~graph.adj[v] & ~(1 << v) for v in range(graph.n)],
+                 list(graph.labels))
+
+
+def exponent(group):
+    return math.lcm(*group.element_orders())
+
+
+def element_order_profile(group):
+    """Map order -> number of elements of that order, orders ascending."""
+    return dict(sorted(Counter(group.element_orders()).items()))
+
+
+def _as_reduction(g):
+    return g if isinstance(g, TwinReducedGraph) else twin_reduce(g)
+
+
+def is_free(g, patterns=None):
+    """Map pattern name -> first witness (None = free), in catalog order."""
+    red = _as_reduction(g)
+    names = list(PATTERNS) if patterns is None else list(patterns)
+    return {name: find_induced_pattern(red, name) for name in names}
+
+
+def is_chain_graph(g):
+    """Chain graphs are exactly the {C3, C5, 2K2}-free graphs."""
+    red = _as_reduction(g)
+    for name in ("C3", "C5", "2K2"):
+        w = find_induced_pattern(red, name)
+        if w is not None:
+            return (False, w)
+    return (True, None)
+
+
+def is_chordal(g):
+    """(True, None), or (False, first hole of length >= 4)."""
+    red = _as_reduction(g)
+    if _mcs_is_chordal(red.graph):
+        return (True, None)
+    w = find_hole(red)
+    assert w is not None, "chordality check failed but no hole was found"
+    return (False, w)

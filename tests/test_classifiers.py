@@ -7,6 +7,7 @@ from pglab import (
     THEOREM_IDS,
     build_group,
     compute_structure_flags,
+    direct_product,
     factorize,
     is_admissible_cyclic_order,
     is_prime,
@@ -18,12 +19,11 @@ from pglab import (
 from pglab.classifiers import (
     rhs_alternating,
     rhs_chain,
-    rhs_chain_case_c,
     rhs_psl2,
     rhs_symmetric,
     rhs_sz,
 )
-from naive_oracle import naive_is_nilpotent, naive_normal_sylow
+from naive_oracle import element_order_profile, naive_is_nilpotent, naive_normal_sylow
 
 # -- elementary number theory -----------------------------------------------------
 
@@ -97,7 +97,7 @@ def test_flags_cyclic_iff_element_of_full_order():
     for spec in ("C16", "D4", "Q8", "S3", "SD(7,3,2)", "C2xC6", "C4xC9"):
         g = build_group(spec)
         f = compute_structure_flags(g)
-        assert f.is_cyclic == (g.order in g.element_order_profile()), spec
+        assert f.is_cyclic == (g.order in element_order_profile(g)), spec
 
 
 def test_flags_eppo_and_prime_graph_agree():
@@ -151,12 +151,20 @@ def test_rhs_chain():
         assert not rhs_predicate("T-CHAIN", _flags(spec)), spec
 
 
-def test_rhs_chain_third_family_is_vacuous_on_samples():
-    """No small group satisfies the third chain family: a faithful action of
-    an exponent-2 group of rank >= 2 on C3 is impossible, so some order-2
-    element would centralize the Sylow-3 and create an order-6 element."""
-    for spec in ("A4", "D6", "C2xC6", "S4", "E2^2", "C12", "S3"):
-        assert not rhs_chain_case_c(_flags(spec)), spec
+def test_rhs_chain_third_family_is_empty():
+    """The key step of the proof in `rhs_chain`'s docstring: S3 x E2^s has
+    order 3*2^(s+1), a normal Sylow-3 and a non-cyclic exponent-2 Sylow-2,
+    and an involution centralizing the Sylow-3 gives an element of order 6,
+    so the group is not EPO."""
+    s3 = build_group("S3")
+    for s in (1, 2, 3):
+        g = direct_product(s3, build_group(f"E2^{s}"))
+        f = compute_structure_flags(g)
+        assert f.order == 3 * 2 ** (s + 1), s
+        assert f.normal_sylow[3] and f.sylow_exponent[2] == 2, s
+        assert not f.sylow_cyclic[2], s
+        assert 6 in g.element_orders(), s
+        assert not f.is_epo and not rhs_chain(f), s
 
 
 def test_rhs_p5_nilpotent():

@@ -63,6 +63,14 @@ def test_analyze_export_json(tmp_path, capsys):
     assert doc["edges"] == [[1, 4]]
 
 
+def test_analyze_export_unknown_format_keeps_the_file(tmp_path, capsys):
+    out_path = tmp_path / "graph.xml"
+    out_path.write_text("earlier content\n")
+    assert main(["analyze", "S3", "--export", "xml", str(out_path)]) == 2
+    assert "unknown export format" in capsys.readouterr().err
+    assert out_path.read_text() == "earlier content\n"
+
+
 def test_analyze_export_dot(tmp_path):
     out_path = tmp_path / "graph.dot"
     assert main(["analyze", "C3", "--export", "dot", str(out_path)]) == 0

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from pglab import (
+    PATTERNS,
     THEOREM_IDS,
     Corpus,
     Harness,
@@ -24,6 +25,7 @@ from pglab.harness import (
     PRODUCT_SUBCORPUS_SPECS,
     _entry,
 )
+from pglab.patterns import _mcs_is_chordal
 
 PROPER_SIDED = {"T-CHAIN", "T-DIAMOND", "T-EVENHOLE-DIAMOND", "T-DIAMOND-CODIAMOND"}
 
@@ -157,22 +159,53 @@ def test_witnesses_reverify_on_their_graphs(reports):
 
 
 def test_p_and_proper_p_give_the_same_witnesses():
-    """The harness checks the P(G) statements on P*(G): for their patterns and
-    for holes, P(G) yields the same first witness, label for label."""
+    """The harness checks the P(G) statements on P*(G), and `analyze_group`
+    answers P(G) from P*(G).  Both agree with searches on P(G) itself: the
+    same first witness of every pattern (vertex ids and labels), the same
+    cograph/chordal/chain verdicts, and for holes the same labels."""
     checked = 0
     for entry in default_corpus().entries:
         group = build_group(entry.spec)
-        if group.order > 200:
+        if group.order > 2000:
             continue
         full = twin_reduce(build_power_graph(group))
-        proper = twin_reduce(build_power_graph(group, proper=True))
-        for name in ("P4", "P5", "P5bar", "P2uP3", "P2uP3bar"):
-            a, b = find_induced_pattern(full, name), find_induced_pattern(proper, name)
-            assert (a and a.labels) == (b and b.labels), (entry.label, name)
-        a, b = find_hole(full), find_hole(proper)
-        assert (a and a.labels) == (b and b.labels), entry.label
+        report = analyze_group(entry.spec_text)
+        expected = {name: find_induced_pattern(full, name) for name in PATTERNS}
+        assert report.patterns == expected, entry.label
+        assert report.cograph == (expected["P4"] is None), entry.label
+        assert report.chain == all(expected[name] is None
+                                   for name in ("C3", "C5", "2K2")), entry.label
+        assert report.chordal == _mcs_is_chordal(full.graph), entry.label
+        if group.order <= 200:
+            proper = twin_reduce(build_power_graph(group, proper=True))
+            a, b = find_hole(full), find_hole(proper)
+            assert (a and a.labels) == (b and b.labels), entry.label
         checked += 1
-    assert checked >= 50
+    assert checked == 59  # all but A7
+
+
+def test_analysis_of_p_builds_one_graph(monkeypatch):
+    """Without --proper, `analyze_group` walks the cyclic subgroups once (for
+    the graph and the element orders) and reduces one graph, P*(G)."""
+    from pglab import harness
+    from pglab.group_kernel import Group
+
+    calls = []
+    walk, reduce = Group.cyclic_subgroups, harness.twin_reduce
+    monkeypatch.setattr(Group, "cyclic_subgroups",
+                        lambda group: calls.append("walk") or walk(group))
+    monkeypatch.setattr(harness, "twin_reduce",
+                        lambda graph: calls.append("reduce") or reduce(graph))
+    report = analyze_group("S4")
+    assert sorted(calls) == ["reduce", "walk"]
+    assert report.graph.n == 24 and report.graph.degree(0) == 23
+
+
+def test_bundle_reduces_only_proper_p(harness):
+    bundle = harness.bundle(harness.corpus.entries[5])
+    assert bundle.reduction(proper=True).original.n == bundle.group.order - 1
+    with pytest.raises(ValueError):
+        bundle.reduction(False)
 
 
 def test_product_case_covers_all_ordered_pairs(reports):
@@ -220,10 +253,6 @@ def test_reports_are_deterministic_modulo_ms():
         assert strip(h1.run_case(tid).to_dict()) == strip(h2.run_case(tid).to_dict())
 
 
-def test_chain_case_c_has_no_corpus_instances(harness):
-    assert harness.chain_case_c_instances() == []
-
-
 # -- harness on restricted corpora -----------------------------------------------------
 
 
@@ -264,7 +293,7 @@ def test_min_hole_len_plumbs_through():
     ring6 = Graph([0b100010, 0b000101, 0b001010, 0b010100, 0b101000, 0b010001])
     for min_len, expected in ((4, False), (8, True)):
         h = Harness(Corpus((_entry("C7"),), (), ()), min_hole_len=min_len)
-        h.bundle(h.corpus.entries[0])._graphs[True] = ring6
+        h.bundle(h.corpus.entries[0])._reduction = twin_reduce(ring6)
         report = h.run_case("T-EVENHOLE-DIAMOND")
         assert report.entries[0].graph_side is expected
 

@@ -10,16 +10,20 @@ from pglab import (
     build_power_graph,
     find_hole,
     find_induced_pattern,
-    is_chain_graph,
-    is_chordal,
     is_cograph,
-    is_free,
     twin_reduce,
     verify_witness,
 )
 from pglab.patterns import _make_pattern, _mcs_is_chordal
 from pglab.power_graph import RETAIN
-from naive_oracle import naive_hole_lengths, naive_pattern_presence
+from naive_oracle import (
+    complement,
+    is_chain_graph,
+    is_chordal,
+    is_free,
+    naive_hole_lengths,
+    naive_pattern_presence,
+)
 
 # -- catalog shape -----------------------------------------------------------------
 
@@ -204,7 +208,7 @@ def test_is_free_reports_catalog_order():
 @pytest.mark.parametrize("spec", ["C30", "C12", "S4", "Q8"])
 def test_complement_duality(name, partner, spec):
     graph = build_power_graph(build_group(spec))
-    comp = graph.complement()
+    comp = complement(graph)
     assert (find_induced_pattern(graph, name) is None) == (
         find_induced_pattern(comp, partner) is None
     )

@@ -14,8 +14,10 @@ from pglab import (
 from pglab.harness import DEFAULT_CORPUS_SPECS
 from pglab.power_graph import RETAIN
 from naive_oracle import (
+    complement,
     naive_element_order,
     naive_power_graph_sets,
+    neighbors,
     reference_power_graph,
 )
 
@@ -32,7 +34,7 @@ def test_power_graph_matches_naive_adjacency(spec, proper):
     expected = naive_power_graph_sets(group, proper=proper)
     assert graph.n == len(expected)
     for v in range(graph.n):
-        assert set(graph.neighbors(v)) == expected[v], (spec, proper, v)
+        assert set(neighbors(graph, v)) == expected[v], (spec, proper, v)
 
 
 @pytest.mark.parametrize("spec", DEFAULT_CORPUS_SPECS + ("C360", "C4xC9xC5"))
@@ -77,7 +79,7 @@ def test_no_self_loops_and_symmetry():
         g = build_power_graph(build_group(spec))
         for v in range(g.n):
             assert not g.has_edge(v, v)
-            for u in g.neighbors(v):
+            for u in neighbors(g, v):
                 assert g.has_edge(u, v)
 
 
@@ -90,7 +92,7 @@ def test_identity_vertex_is_universal():
 def test_p_c6_explicit_edges():
     g = build_power_graph(build_group("C6"))
     assert g.n == 6
-    assert g.edge_count() == 13
+    assert len(g.edges()) == 13
     non_edges = [
         (u, v)
         for u in range(6)
@@ -110,7 +112,7 @@ def test_proper_graph_drops_identity_and_shifts():
 
 def test_degree_sum_is_twice_edge_count():
     g = build_power_graph(build_group("C30"))
-    assert sum(g.degree(v) for v in range(g.n)) == 2 * g.edge_count()
+    assert sum(g.degree(v) for v in range(g.n)) == 2 * len(g.edges())
 
 
 def test_cyclic_adjacency_is_order_divisibility():
@@ -135,14 +137,14 @@ def test_subgroup_gives_induced_subgraph():
     s4 = build_group("S4")
     fix4 = [i for i in range(24) if s4.payload(i)[3] == 3]  # the copy of S3
     sub = build_power_graph(s4).induced(fix4)
-    assert sub.edge_count() == build_power_graph(build_group("S3")).edge_count()
+    assert len(sub.edges()) == len(build_power_graph(build_group("S3")).edges())
 
 
 def test_complement_involution():
     g = build_power_graph(build_group("C12"))
-    comp = g.complement()
-    assert comp.edge_count() == g.n * (g.n - 1) // 2 - g.edge_count()
-    assert comp.complement().edges() == g.edges()
+    comp = complement(g)
+    assert len(comp.edges()) == g.n * (g.n - 1) // 2 - len(g.edges())
+    assert complement(comp).edges() == g.edges()
     assert not any(comp.has_edge(v, v) for v in range(comp.n))
 
 
@@ -160,13 +162,12 @@ def test_twin_classes_of_p_c6():
     red = twin_reduce(build_power_graph(build_group("C6")))
     assert red.classes == [[0, 1, 5], [2, 4], [3]]
     assert red.retained == [0, 1, 2, 3, 4, 5]
-    assert red.class_count == 3
 
 
 def test_twin_reduce_caps_class_size():
     graph = build_power_graph(build_group("E2^4"))  # star on 16 vertices
     red = twin_reduce(graph)
-    assert red.class_count == 2  # {identity} and the 15 open-twin involutions
+    assert len(red.classes) == 2  # {identity} and the 15 open-twin involutions
     assert RETAIN == 3
     assert red.retained == [0, 1, 2, 3]  # the identity and 3 involutions
     # rank_masks[m]: the first m retained members of each class
