@@ -369,3 +369,17 @@ def is_chordal(g):
     w = find_hole(red)
     assert w is not None, "chordality check failed but no hole was found"
     return (False, w)
+
+
+def chain_third_family(f):
+    """The third chain-graph family of the statement on StructureFlags: EPO,
+    order 3*2^s (s >= 2), normal Sylow-3, exponent-2 non-cyclic Sylow-2.
+    `rhs_chain`'s docstring proves that no group is in it."""
+    fact = dict(f.factorization)
+    return (f.is_epo
+            and set(f.primes) == {2, 3}
+            and fact[3] == 1
+            and fact[2] >= 2
+            and f.normal_sylow[3]
+            and f.sylow_exponent[2] == 2
+            and not f.sylow_cyclic[2])

@@ -23,7 +23,8 @@ from pglab.classifiers import (
     rhs_symmetric,
     rhs_sz,
 )
-from naive_oracle import element_order_profile, naive_is_nilpotent, naive_normal_sylow
+from naive_oracle import (chain_third_family, element_order_profile, naive_is_nilpotent,
+                          naive_normal_sylow)
 
 # -- elementary number theory -----------------------------------------------------
 
@@ -149,6 +150,14 @@ def test_rhs_chain():
         assert rhs_predicate("T-CHAIN", _flags(spec)), spec
     for spec in negatives:
         assert not rhs_predicate("T-CHAIN", _flags(spec)), spec
+
+
+def test_rhs_chain_third_family_is_vacuous_on_samples():
+    """No small group satisfies the third chain family: a faithful action of
+    an exponent-2 group of rank >= 2 on C3 is impossible, so some order-2
+    element would centralize the Sylow-3 and create an order-6 element."""
+    for spec in ("A4", "D6", "C2xC6", "S4", "E2^2", "C12", "S3"):
+        assert not chain_third_family(_flags(spec)), spec
 
 
 def test_rhs_chain_third_family_is_empty():

@@ -26,6 +26,7 @@ from pglab.harness import (
     _entry,
 )
 from pglab.patterns import _mcs_is_chordal
+from naive_oracle import chain_third_family
 
 PROPER_SIDED = {"T-CHAIN", "T-DIAMOND", "T-EVENHOLE-DIAMOND", "T-DIAMOND-CODIAMOND"}
 
@@ -251,6 +252,11 @@ def test_reports_are_deterministic_modulo_ms():
     h1, h2 = Harness(), Harness()
     for tid in ("T-CHAIN", "T-DIAMOND", "T-DIAMOND-CODIAMOND", "T-SZ"):
         assert strip(h1.run_case(tid).to_dict()) == strip(h2.run_case(tid).to_dict())
+
+
+def test_chain_case_c_has_no_corpus_instances(harness):
+    assert [e.label for e in harness.corpus.entries
+            if chain_third_family(harness.bundle(e).flags)] == []
 
 
 # -- harness on restricted corpora -----------------------------------------------------
