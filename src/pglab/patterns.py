@@ -140,7 +140,7 @@ def find_induced_pattern(g: Graph | TwinReducedGraph,
         return None
     original = tuple(red.retained[assignment[i]] for i in range(pattern.size))
     witness = Witness(pattern.name, original,
-                      tuple(red.original.labels[v] for v in original))
+                      tuple(red.original.label(v) for v in original))
     if not verify_witness(red.original, pattern, original):  # pragma: no cover
         raise RuntimeError(f"search produced an invalid {pattern.name} witness")
     return witness
@@ -233,7 +233,7 @@ def find_hole(g: Graph | TwinReducedGraph, parity: str = "any",
             if found is not None:
                 original = tuple(red.retained[v] for v in found)
                 return Witness(f"C{len(found)}", original,
-                               tuple(red.original.labels[v] for v in original))
+                               tuple(red.original.label(v) for v in original))
     return None
 
 

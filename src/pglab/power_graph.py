@@ -8,20 +8,30 @@ rather than the sum of the element orders.  The proper power graph P*(G)
 drops the identity (vertex i of P*(G) is group element i+1); P(G) is P*(G)
 plus the identity, adjacent to every other vertex (`with_identity`).
 
+A graph renders vertex labels on demand (`Graph.label`): a power graph
+holds its group's `render`, not a rendered label per element, so only the
+vertices a report names, or an export, are ever rendered.
+
 `twin_reduce` shrinks a graph by interchangeability classes (vertices with
 identical closed neighborhoods — adjacent twins — or identical open
 neighborhoods — non-adjacent twins), keeping the `RETAIN` smallest ids of
-each class.  An induced copy of a pattern H meets a class in at most m(H)
-vertices, the size of H's own largest twin class, so a search for H needs
-only the first m(H) members of each class; `TwinReducedGraph.rank_masks`
-marks them.  Witnesses translate straight back because representatives are
-original vertex ids.
+each class.  It finds the classes by sorting the vertices by row, once by
+closed and once by open neighborhood, rather than by hashing rows: CPython
+hashes an int modulo 2^61 - 1, so sparse rows such as `1 << v` share a few
+dozen hash values and a row-keyed dict degrades to long collision chains.
+An induced copy of a pattern H meets a class in at most m(H) vertices, the
+size of H's own largest twin class, so a search for H needs only the first
+m(H) members of each class; `TwinReducedGraph.rank_masks` marks them.
+Witnesses translate straight back because representatives are original
+vertex ids.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 from .classifiers import factorize
 from .group_kernel import Group
@@ -31,14 +41,26 @@ RETAIN = 3
 
 
 class Graph:
-    """Immutable-by-convention undirected graph; adj[v] is a bitmask."""
+    """Immutable-by-convention undirected graph; adj[v] is a bitmask.
 
-    def __init__(self, adjacency: list[int], labels: list[str] | None = None) -> None:
+    `labels` is either the list of vertex labels or a function that renders
+    the label of vertex v on demand; by default vertex v is labelled str(v).
+    """
+
+    def __init__(self, adjacency: list[int],
+                 labels: Sequence[str] | Callable[[int], str] = str) -> None:
         self.adj: list[int] = adjacency
         self.n: int = len(adjacency)
-        self.labels: list[str] = labels if labels is not None else [str(i) for i in range(self.n)]
-        if len(self.labels) != self.n:
-            raise ValueError("label count does not match vertex count")
+        if not callable(labels):
+            if len(labels) != self.n:
+                raise ValueError("label count does not match vertex count")
+            labels = labels.__getitem__
+        self.label: Callable[[int], str] = labels
+
+    @property
+    def labels(self) -> list[str]:
+        """Every vertex label, rendered now."""
+        return [self.label(v) for v in range(self.n)]
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -72,31 +94,15 @@ class Graph:
                 low = mask & -mask
                 adj[k] |= 1 << pos[low.bit_length() - 1]
                 mask ^= low
-        return Graph(adj, [self.labels[v] for v in vertices])
-
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            mask = frontier
-            while mask:
-                low = mask & -mask
-                nxt |= self.adj[low.bit_length() - 1]
-                mask ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
+        return Graph(adj, lambda k: self.label(vertices[k]))
 
 
 def build_power_graph(group: Group, proper: bool = False) -> Graph:
     """Undirected power graph of a group: u ~ v iff u in <v> or v in <u>.
 
-    Vertices follow the group's element numbering; labels are rendered
-    elements.  With proper=True vertex 0 (the identity) is dropped and the
-    remaining vertices shift down by one.
+    Vertices follow the group's element numbering; a vertex's label is its
+    element, rendered when asked for.  With proper=True vertex 0 (the
+    identity) is dropped and the remaining vertices shift down by one.
     """
     n = group.order
     adj = [0] * n
@@ -114,7 +120,7 @@ def build_power_graph(group: Group, proper: bool = False) -> Graph:
     # v generates <v> and lies in it, so bit v is set in row v: drop it, and
     # drop bit 0, the identity, which every row holds.
     star = Graph([(adj[v] ^ 1 << v) >> 1 for v in range(1, n)],
-                 [group.render(i) for i in range(1, n)])
+                 lambda v: group.render(v + 1))
     return star if proper else with_identity(star, group.render(0))
 
 
@@ -122,7 +128,7 @@ def with_identity(star: Graph, label: str) -> Graph:
     """P(G) from P*(G): a new vertex 0, the identity, adjacent to every other
     vertex; vertex i of P*(G) becomes vertex i+1."""
     return Graph([(1 << star.n + 1) - 2] + [row << 1 | 1 for row in star.adj],
-                 [label] + star.labels)
+                 lambda v: star.label(v - 1) if v else label)
 
 
 @dataclass
@@ -142,39 +148,27 @@ class TwinReducedGraph:
 def twin_reduce(graph: Graph) -> TwinReducedGraph:
     """Group vertices with equal closed or equal open neighborhoods.
 
-    A vertex pair cannot be both (that would force u = v), so the two
-    relations merge into one partition.  The `RETAIN` smallest ids of each
+    Sorting the vertices by closed row (adj[v] | 1 << v) and, separately, by
+    open row (adj[v]) puts each class of either relation in one run of equal
+    rows, members ascending.  The two relations never chain, so these runs
+    are the classes: a vertex with a closed twin has no open twin.  For if u
+    and v are closed twins and v and w are open twins, then u is in
+    N(v) = N(w), so w is in N[u] = N[v], and w, being distinct from v, is in
+    N(v) = N(w), which no vertex is.  The `RETAIN` smallest ids of each
     class are retained, and the search graph is the subgraph they induce in
-    the original.  Every catalog pattern and induced cycles of any length
-    survive the reduction.
+    the original (the original itself when every vertex is retained).
+    Every catalog pattern and induced cycles of any length survive the
+    reduction.
     """
-    closed: dict[int, list[int]] = {}
-    opened: dict[int, list[int]] = {}
-    for v in range(graph.n):
-        closed.setdefault(graph.adj[v] | (1 << v), []).append(v)
-        opened.setdefault(graph.adj[v], []).append(v)
-
-    parent = list(range(graph.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for members in list(closed.values()) + list(opened.values()):
-        for other in members[1:]:
-            union(members[0], other)
-
-    groups: dict[int, list[int]] = {}
-    for v in range(graph.n):
-        groups.setdefault(find(v), []).append(v)
-    classes = sorted((sorted(ms) for ms in groups.values()), key=lambda ms: ms[0])
+    run_of: list[list[int] | None] = [None] * graph.n
+    for rows in ([row | 1 << v for v, row in enumerate(graph.adj)], graph.adj):
+        for u, v in pairwise(sorted(range(graph.n), key=rows.__getitem__)):
+            if rows[u] == rows[v]:
+                if run_of[u] is None:
+                    run_of[u] = [u]
+                run_of[u].append(v)
+                run_of[v] = run_of[u]
+    classes = [run or [v] for v, run in enumerate(run_of) if run is None or run[0] == v]
     class_of = [0] * graph.n
     rank = [0] * graph.n
     for ci, ms in enumerate(classes):
@@ -192,7 +186,7 @@ def twin_reduce(graph: Graph) -> TwinReducedGraph:
         classes=classes,
         class_of=class_of,
         retained=retained,
-        graph=graph.induced(retained),
+        graph=graph if len(retained) == graph.n else graph.induced(retained),
         rank_masks=rank_masks,
     )
 
@@ -229,12 +223,12 @@ def export_graph(graph: Graph, fmt: str) -> str:
         return json.dumps(
             {"n": graph.n,
              "edges": [[u, v] for u, v in graph.edges()],
-             "labels": list(graph.labels)},
+             "labels": graph.labels},
             separators=(",", ":"))
     if fmt == "dot":
         lines = ["graph {"]
         for v in range(graph.n):
-            lines.append(f'  {v} [label="{_dot_escape(graph.labels[v])}"];')
+            lines.append(f'  {v} [label="{_dot_escape(graph.label(v))}"];')
         for u, v in graph.edges():
             lines.append(f"  {u} -- {v};")
         lines.append("}")

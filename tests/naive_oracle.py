@@ -74,6 +74,31 @@ def reference_power_graph(group, proper=False):
     return Graph([row >> 1 for row in adj[1:]], labels[1:])
 
 
+def naive_twin_classes(graph):
+    """Twin classes by pairwise comparison: u and v are linked when
+    N[u] = N[v] or N(u) = N(v), and classes are the transitive closure of
+    that link.  Members ascending, classes ordered by their least member."""
+    nbrs = [set(neighbors(graph, v)) for v in range(graph.n)]
+    linked = [[nbrs[u] == nbrs[v] or nbrs[u] | {u} == nbrs[v] | {v}
+               for v in range(graph.n)] for u in range(graph.n)]
+    class_of = [None] * graph.n
+    classes = []
+    for v in range(graph.n):
+        if class_of[v] is not None:
+            continue
+        members, stack = {v}, [v]
+        while stack:
+            u = stack.pop()
+            for w in range(graph.n):
+                if linked[u][w] and w not in members:
+                    members.add(w)
+                    stack.append(w)
+        for u in members:
+            class_of[u] = len(classes)
+        classes.append(sorted(members))
+    return classes
+
+
 # -- naive induced-pattern search ----------------------------------------------
 
 # Pair-slot numbering for a k-subset (v0 < v1 < ... ): adding vertex j
@@ -323,6 +348,21 @@ def _is_power_of(n, p):
 def neighbors(graph, v):
     """Ascending neighbour ids of v."""
     return [u for u in range(graph.n) if graph.adj[v] >> u & 1]
+
+
+def is_connected(graph):
+    """Breadth-first search from vertex 0 over the bitmask rows."""
+    if graph.n == 0:
+        return True
+    seen = frontier = 1
+    while frontier:
+        reached = 0
+        for v in range(graph.n):
+            if frontier >> v & 1:
+                reached |= graph.adj[v]
+        frontier = reached & ~seen
+        seen |= frontier
+    return seen == (1 << graph.n) - 1
 
 
 def complement(graph):

@@ -1,6 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pglab import (
     Graph,
@@ -11,12 +14,14 @@ from pglab import (
     find_induced_pattern,
     twin_reduce,
 )
-from pglab.harness import DEFAULT_CORPUS_SPECS
+from pglab.harness import DEFAULT_CORPUS_SPECS, analyze_group
 from pglab.power_graph import RETAIN
 from naive_oracle import (
     complement,
+    is_connected,
     naive_element_order,
     naive_power_graph_sets,
+    naive_twin_classes,
     neighbors,
     reference_power_graph,
 )
@@ -149,10 +154,10 @@ def test_complement_involution():
 
 
 def test_connectivity():
-    assert build_power_graph(build_group("A4")).is_connected()
-    assert build_power_graph(build_group("C15"), proper=True).is_connected()
-    assert not build_power_graph(build_group("E2^2"), proper=True).is_connected()
-    assert not build_power_graph(build_group("S3"), proper=True).is_connected()
+    assert is_connected(build_power_graph(build_group("A4")))
+    assert is_connected(build_power_graph(build_group("C15"), proper=True))
+    assert not is_connected(build_power_graph(build_group("E2^2"), proper=True))
+    assert not is_connected(build_power_graph(build_group("S3"), proper=True))
 
 
 # -- twin reduction -----------------------------------------------------------------
@@ -180,6 +185,99 @@ def test_twin_reduce_maps_every_vertex():
     for v in range(graph.n):
         assert v in red.classes[red.class_of[v]]
     assert sorted(v for cls in red.classes for v in cls) == list(range(graph.n))
+
+
+def _bits(row):
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
+def _check_against_oracle(graph, classes):
+    """Every field of twin_reduce(graph), given the expected classes."""
+    red = twin_reduce(graph)
+    assert red.original is graph
+    assert red.classes == classes
+    for ci, members in enumerate(classes):
+        assert all(red.class_of[v] == ci for v in members)
+    assert red.retained == sorted(v for ms in classes for v in ms[:RETAIN])
+    s = red.graph
+    assert s.n == len(red.retained)
+    pos = {v: i for i, v in enumerate(red.retained)}
+    for i, u in enumerate(red.retained):
+        assert s.label(i) == graph.label(u)
+        assert set(_bits(s.adj[i])) == {pos[v] for v in _bits(graph.adj[u]) if v in pos}
+    for m in range(RETAIN + 1):
+        first = {v for ms in classes for v in ms[:m]}
+        assert red.rank_masks[m] == sum(1 << i for i, v in enumerate(red.retained)
+                                        if v in first)
+    return red
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 9))
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return Graph(adj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_twin_reduce_matches_pairwise_oracle(graph):
+    _check_against_oracle(graph, naive_twin_classes(graph))
+
+
+def test_twin_reduce_on_sparse_rows_of_20000_vertices():
+    """Rows such as 1 << v share a few dozen int hashes; the classes still
+    come out whole.  Edgeless: one class of open twins.  Perfect matching:
+    each edge is a class of closed twins."""
+    n = 20_000
+    red = _check_against_oracle(Graph([0] * n), [list(range(n))])
+    assert red.retained == [0, 1, 2]
+    matching = Graph([1 << (v ^ 1) for v in range(n)])
+    red = _check_against_oracle(matching, [[v, v + 1] for v in range(0, n, 2)])
+    assert red.graph is matching
+
+
+@pytest.mark.parametrize("spec", DEFAULT_CORPUS_SPECS)
+def test_no_vertex_has_both_twin_kinds(spec):
+    """The lemma twin_reduce rests on: the closed-twin and open-twin
+    relations never chain, checked on every default-corpus P*(G)."""
+    graph = build_power_graph(build_group(spec), proper=True)
+    closed = Counter(row | 1 << v for v, row in enumerate(graph.adj))
+    opened = Counter(graph.adj)
+    for v, row in enumerate(graph.adj):
+        assert closed[row | 1 << v] == 1 or opened[row] == 1, (spec, v)
+
+
+def test_reduction_retaining_every_vertex_shares_the_graph():
+    graph = build_power_graph(build_group("C6"))
+    red = twin_reduce(graph)
+    assert red.retained == list(range(graph.n))
+    assert red.graph is graph
+    capped = twin_reduce(build_power_graph(build_group("E2^4")))
+    assert capped.graph is not capped.original
+
+
+def test_analysis_renders_only_identity_and_witnesses(monkeypatch):
+    """Labels are rendered on demand: analyzing S4 on P*(G) renders the
+    identity and each witness vertex, not every element."""
+    from pglab.group_kernel import Group
+
+    rendered = []
+    render = Group.render
+    monkeypatch.setattr(Group, "render",
+                        lambda group, i: rendered.append(i) or render(group, i))
+    report = analyze_group("S4", proper=True)
+    witnesses = [w for w in report.patterns.values() if w is not None]
+    assert rendered == [0] + [v + 1 for w in witnesses for v in w.vertices]
+    assert report.graph.label(0) == "(1 2)"
 
 
 @pytest.mark.parametrize("spec", ["C12", "C36", "A4", "Q16", "S4", "C30"])
@@ -250,4 +348,4 @@ def test_graph_constructor_direct():
     assert ring.n == 5
     assert ring.edges() == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
     assert all(ring.degree(v) == 2 for v in range(5))
-    assert ring.is_connected()
+    assert is_connected(ring)
