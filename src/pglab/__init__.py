@@ -1,24 +1,7 @@
 """Power graphs of finite groups: construction, forbidden-induced-subgraph
 detection, and mechanical verification of classification statements."""
 
-from .finite_field import (
-    FieldElement,
-    FieldSpec,
-    construct_field,
-    element_from_index,
-    element_index,
-    ff_add,
-    ff_inv,
-    ff_mul,
-    ff_neg,
-    ff_pow,
-    ff_sub,
-    field_elements,
-    multiplicative_order,
-    one,
-    primitive_element,
-    zero,
-)
+from .finite_field import FieldSpec, construct_field, primitive_element
 from .group_kernel import (
     CapExceededError,
     Group,

@@ -25,12 +25,7 @@ from dataclasses import dataclass
 from math import factorial, gcd
 
 from .classifiers import is_prime, is_prime_power
-from .finite_field import (
-    construct_field,
-    element_index,
-    index_tables,
-    primitive_element,
-)
+from .finite_field import construct_field, index_tables, primitive_element
 from .group_kernel import (
     CapExceededError,
     Group,
@@ -274,15 +269,18 @@ Matrix = tuple[tuple[int, int], tuple[int, int]]
 
 
 def _matrix_ops(q: int):
-    """Return (spec, matmul, neg_matrix, identity, render) over GF(q) indices."""
+    """Return (matmul, neg_matrix, generators) over GF(q) indices.
+
+    The generators of SL(2, q) are the elementary transvections and, for
+    q > 3, the torus element diag(w, 1/w) with w the primitive element.
+    """
     if q < 2:
         raise ValueError(f"field size must be a prime power >= 2, got {q}")
     pk = is_prime_power(q)
     if pk is None:
         raise ValueError(f"{q} is not a prime power")
-    p, k = pk
-    spec = construct_field(p, k)
-    add, mul, neg, _inv = index_tables(spec)
+    spec = construct_field(*pk)
+    add, mul, neg, inv = index_tables(spec)
 
     def matmul(a: Matrix, b: Matrix) -> Matrix:
         (a00, a01), (a10, a11) = a
@@ -295,26 +293,27 @@ def _matrix_ops(q: int):
     def neg_matrix(a: Matrix) -> Matrix:
         return ((neg[a[0][0]], neg[a[0][1]]), (neg[a[1][0]], neg[a[1][1]]))
 
-    identity: Matrix = ((1, 0), (0, 1))
+    gens: list[Matrix] = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
+    if q > 3:
+        w = primitive_element(spec)
+        gens.append(((w, 0), (0, inv[w])))
+    return matmul, neg_matrix, gens
 
-    def render(a: Matrix) -> str:
-        return f"[[{a[0][0]},{a[0][1]}],[{a[1][0]},{a[1][1]}]]"
 
-    return spec, matmul, neg_matrix, identity, render
+_IDENTITY: Matrix = ((1, 0), (0, 1))
+
+
+def _render_matrix(a: Matrix) -> str:
+    return f"[[{a[0][0]},{a[0][1]}],[{a[1][0]},{a[1][1]}]]"
 
 
 def construct_sl2(q: int, cap: int | None = None) -> Group:
     """SL(2, q): closure of the elementary transvections and a torus element."""
     order = q * (q * q - 1)
     _check_cap(order, cap, f"SL(2,{q})")
-    spec, matmul, _negm, identity, render = _matrix_ops(q)
-    w = element_index(spec, primitive_element(spec))
-    _add, _mul, _neg, inv = index_tables(spec)
-    gens: list[Matrix] = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
-    if q > 3:
-        gens.append(((w, 0), (0, inv[w])))
-    g = close_generators(gens, matmul, identity, cap=cap, label=f"SL(2,{q})",
-                         render_payload=render)
+    matmul, _negm, gens = _matrix_ops(q)
+    g = close_generators(gens, matmul, _IDENTITY, cap=cap, label=f"SL(2,{q})",
+                         render_payload=_render_matrix)
     if g.order != order:
         raise RuntimeError(f"SL(2,{q}) closure has order {g.order}, expected {order}")
     return g
@@ -328,9 +327,7 @@ def construct_psl2(q: int, cap: int | None = None) -> Group:
     """
     order = q * (q * q - 1) // gcd(2, q - 1)
     _check_cap(order, cap, f"PSL(2,{q})")
-    spec, matmul, negm, identity, render = _matrix_ops(q)
-    w = element_index(spec, primitive_element(spec))
-    _add, _mul, _neg, inv = index_tables(spec)
+    matmul, negm, gens = _matrix_ops(q)
 
     def canon(m: Matrix) -> Matrix:
         n = negm(m)
@@ -339,11 +336,8 @@ def construct_psl2(q: int, cap: int | None = None) -> Group:
     def mul(a: Matrix, b: Matrix) -> Matrix:
         return canon(matmul(a, b))
 
-    gens = [canon(((1, 1), (0, 1))), canon(((1, 0), (1, 1)))]
-    if q > 3:
-        gens.append(canon(((w, 0), (0, inv[w]))))
-    g = close_generators(gens, mul, identity, cap=cap, label=f"PSL(2,{q})",
-                         render_payload=render)
+    g = close_generators([canon(m) for m in gens], mul, _IDENTITY, cap=cap,
+                         label=f"PSL(2,{q})", render_payload=_render_matrix)
     if g.order != order:
         raise RuntimeError(f"PSL(2,{q}) closure has order {g.order}, expected {order}")
     return g

@@ -126,7 +126,7 @@ class Group:
 def close_generators(
     generators: Sequence[Payload],
     compose_payloads: Callable[[Payload, Payload], Payload],
-    identity: Payload | None = None,
+    identity: Payload,
     *,
     cap: int | None = None,
     label: str = "G",
@@ -134,30 +134,12 @@ def close_generators(
 ) -> Group:
     """BFS closure of a generator set into a Group.
 
-    The identity may be supplied; otherwise it is derived by powering the
-    first generator.  Element numbering: identity = 0, then the generators in
-    the order given (skipping duplicates/identity), then products g * x in
-    discovery order (right-multiplication by each generator in order).
+    Element numbering: identity = 0, then the generators in the order given
+    (skipping duplicates/identity), then products g * x in discovery order
+    (right-multiplication by each generator in order).
     """
     effective_cap = resolve_cap(cap)
     gens = list(generators)
-    if identity is None:
-        if not gens:
-            raise ValueError("cannot derive identity from an empty generator set")
-        x = gens[0]
-        seen = {x}
-        nxt = compose_payloads(x, gens[0])
-        while nxt not in seen:
-            seen.add(nxt)
-            x = nxt
-            nxt = compose_payloads(x, gens[0])
-            if len(seen) > effective_cap:
-                raise CapExceededError(
-                    f"generator order exceeds cap {effective_cap} while deriving identity")
-        # The power sequence g, g^2, ... first repeats at g^(o+1) = g, at which
-        # point x holds g^o = identity.
-        identity = x
-
     elements: list[Payload] = [identity]
     index: dict[Payload, int] = {identity: 0}
     for g in gens:

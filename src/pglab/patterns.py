@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .power_graph import Graph, TwinReducedGraph, twin_reduce
 
@@ -153,40 +154,35 @@ def is_cograph(g: Graph | TwinReducedGraph) -> tuple[bool, Witness | None]:
 
 def _mcs_is_chordal(s: Graph) -> bool:
     """Whether `s` has no hole (maximum-cardinality search, then a perfect
-    elimination order check).  Twin reduction keeps every hole, so a
-    reduction's search graph answers for the whole graph."""
-    n = s.n
-    if n == 0:
-        return True
-    weights = [0] * n
-    visited = 0
-    visit_pos = [-1] * n
-    snapshot = [0] * n  # visited-mask at the time each vertex is visited
+    elimination order check).  Each step visits the heaviest unvisited
+    vertex, smallest id first, popped from a heap of (-weight, id); an entry
+    left behind by a weight increase is skipped, since the vertex's newer
+    entry pops before it.  Twin reduction keeps every hole, so a reduction's
+    search graph answers for the whole graph."""
+    weights = [0] * s.n
+    visit_pos = [-1] * s.n
+    heap = [(0, v) for v in range(s.n)]  # sorted, hence a heap
     alpha: list[int] = []
-    for step in range(n):
-        best = -1
-        best_w = -1
-        for v in range(n):
-            if not (visited >> v & 1) and weights[v] > best_w:
-                best, best_w = v, weights[v]
-        snapshot[best] = visited
-        visit_pos[best] = step
-        visited |= 1 << best
-        alpha.append(best)
-        mask = s.adj[best] & ~visited
-        while mask:
-            low = mask & -mask
-            weights[low.bit_length() - 1] += 1
-            mask ^= low
-    for v in alpha:
-        earlier = s.adj[v] & snapshot[v]
-        if earlier == 0:
+    visited = 0
+    while heap:
+        best = heappop(heap)[1]
+        if visit_pos[best] >= 0:
             continue
-        # Most recently visited earlier neighbor must dominate the others.
-        parent = max((visit_pos[u], u) for u in _bits(earlier))[1]
-        rest = earlier & ~(1 << parent)
-        if rest & ~s.adj[parent]:
-            return False
+        visit_pos[best] = len(alpha)
+        alpha.append(best)
+        visited |= 1 << best
+        for u in _bits(s.adj[best] & ~visited):
+            weights[u] += 1
+            heappush(heap, (-weights[u], u))
+    visited = 0
+    for v in alpha:
+        earlier = s.adj[v] & visited
+        visited |= 1 << v
+        if earlier:
+            # Most recently visited earlier neighbor must dominate the others.
+            parent = max(_bits(earlier), key=visit_pos.__getitem__)
+            if earlier & ~(1 << parent) & ~s.adj[parent]:
+                return False
     return True
 
 

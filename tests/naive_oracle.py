@@ -342,6 +342,29 @@ def _is_power_of(n, p):
     return n == 1
 
 
+# -- finite-field oracle -------------------------------------------------------------
+
+
+def naive_field_product(spec, a, b):
+    """Index of a * b in GF(p^k): base-p digits to coefficient lists, a
+    schoolbook product, then the modulus subtracted at the top degree until
+    the degree is below k."""
+    p, k, modulus = spec.p, spec.k, spec.modulus
+
+    def coefficients(idx):
+        return [idx // p ** i % p for i in range(k)]
+
+    prod = [0] * (2 * k)
+    for i, x in enumerate(coefficients(a)):
+        for j, y in enumerate(coefficients(b)):
+            prod[i + j] += x * y
+    for top in range(2 * k - 1, k - 1, -1):
+        while prod[top] % p:
+            for j, m in enumerate(modulus):
+                prod[top - k + j] -= m
+    return sum(prod[i] % p * p ** i for i in range(k))
+
+
 # -- retired package API -----------------------------------------------------------
 
 

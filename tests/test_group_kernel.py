@@ -165,7 +165,8 @@ def test_close_generators_s3():
     swap = (1, 0, 2)
     cycle = (1, 2, 0)
     g = close_generators(
-        [swap, cycle], compose_permutations, render_payload=render_permutation
+        [swap, cycle], compose_permutations, identity_permutation(3),
+        render_payload=render_permutation,
     )
     assert g.order == 6
     assert g.payload(0) == identity_permutation(3)
@@ -177,7 +178,7 @@ def test_close_generators_s3():
 def test_close_generators_respects_cap():
     gens = [permutation_from_cycles(5, [(1, 2)]), permutation_from_cycles(5, [(1, 2, 3, 4, 5)])]
     with pytest.raises(CapExceededError):
-        close_generators(gens, compose_permutations, cap=30)
+        close_generators(gens, compose_permutations, identity_permutation(5), cap=30)
 
 
 # -- caps ---------------------------------------------------------------------------

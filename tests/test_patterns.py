@@ -278,6 +278,18 @@ def test_long_cycle_is_searched_without_recursion():
     assert verdict is False and witness == w
 
 
+def test_mcs_on_a_long_path_is_chordal():
+    """20,000 vertices: a quadratic scan for the next vertex takes minutes."""
+    n = 20000
+    path = Graph([(1 << v - 1 if v else 0) | (1 << v + 1 if v < n - 1 else 0)
+                  for v in range(n)])
+    assert _mcs_is_chordal(path) is True
+
+
+def test_mcs_on_a_long_cycle_is_not_chordal():
+    assert _mcs_is_chordal(_ring(20000)) is False
+
+
 def _twin_rich_graph(rng):
     """A random graph on a few base vertices, grown by closed and open twins."""
     base = rng.randrange(3, 7)
