@@ -205,22 +205,11 @@ def rhs_symmetric(f: StructureFlags) -> bool:
 
 
 def rhs_alternating(f: StructureFlags) -> bool:
-    """Alternating groups: free ⟺ n <= 6 (n recovered from |G| = n!/2).
+    """Alternating groups: free ⟺ n <= 6 (n recovered from 2|G| = n!).
 
-    Orders 1 (A1/A2) and 3 (A3) precede the faithful range and are free.
+    A1 and A2 share order 1 and both read as n = 2.
     """
-    if f.order == 1:
-        return True
-    if f.order == 3:
-        return True
-    n = 3
-    acc = 3  # |A3| = 3; |A(n+1)| = |A(n)| * (n+1)
-    while acc < f.order:
-        n += 1
-        acc *= n
-    if acc != f.order:
-        raise ValueError(f"order {f.order} is not n!/2 for any n")
-    return n <= 6
+    return _invert_factorial(2 * f.order) <= 6
 
 
 def _invert_factorial(order: int) -> int:

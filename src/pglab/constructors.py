@@ -1,17 +1,9 @@
 """Constructors for the group families and a small spec-string language.
 
-Spec strings (case-sensitive, whitespace ignored):
-
-    C<n>            cyclic of order n
-    D<n>            dihedral with n-gon symmetries, order 2n (n >= 3)
-    S<n>            symmetric on n points (n <= 7)
-    A<n>            alternating on n points (n <= 7)
-    Q<2^k>          generalized quaternion of order 2^k (k >= 3)
-    E<p>^<k>        elementary abelian of order p^k
-    SD(n,m,k)       C_n semidirect C_m with action x -> x^k  (k^m = 1 mod n)
-    SL(2,q)         2x2 determinant-1 matrices over GF(q)
-    PSL(2,q)        SL(2,q) modulo its center
-    <spec>x<spec>   direct product (right-associative)
+A spec string (case-sensitive, whitespace ignored) is an atom, or atoms joined
+by `x` for a right-associative direct product.  Each atom is the spec text of
+one row of `FAMILIES`, e.g. `PSL(2,{})` or `E{}^{}`, with a non-negative
+integer in place of each `{}`; the row's constructor checks the parameters.
 
 Element payloads: permutation tuples for S/A/D, residues for C, residue pairs
 for Q/SD, coefficient vectors for E, matrices (as 2x2 tuples of field-element
@@ -21,6 +13,7 @@ payload: cycle notation, plain integers, "[[a,b],[c,d]]", or "(l,r)" pairs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import factorial, gcd
 
@@ -80,40 +73,28 @@ def _parse_product(s: str, pos: int) -> tuple[GroupSpec, int]:
     return left, pos
 
 
-def _parse_int(s: str, pos: int) -> tuple[int, int]:
-    start = pos
-    while pos < len(s) and s[pos].isdigit():
-        pos += 1
-    if pos == start:
-        raise GroupSpecError("expected an integer", start)
-    return int(s[start:pos]), pos
+_DIGITS = re.compile(r"\d+")
 
 
 def _parse_atom(s: str, pos: int) -> tuple[GroupSpec, int]:
-    for head, family, arity in (("PSL(2,", "PSL2", 1), ("SL(2,", "SL2", 1), ("SD(", "SD", 3)):
-        if s.startswith(head, pos):
-            p = pos + len(head)
-            params = []
-            for i in range(arity):
-                val, p = _parse_int(s, p)
-                params.append(val)
-                if i < arity - 1:
-                    if p >= len(s) or s[p] != ",":
-                        raise GroupSpecError("expected ','", p)
-                    p += 1
-            if p >= len(s) or s[p] != ")":
-                raise GroupSpecError("expected ')'", p)
-            return AtomSpec(family, tuple(params)), p + 1
+    """Match the first FAMILIES row whose text before its first `{}` starts s[pos:]."""
+    for family, (text, _build) in FAMILIES.items():
+        head, *pieces = text.split("{}")
+        if not s.startswith(head, pos):
+            continue
+        p = pos + len(head)
+        params = []
+        for piece in pieces:
+            digits = _DIGITS.match(s, p)
+            if digits is None:
+                raise GroupSpecError("expected an integer", p)
+            params.append(int(digits.group()))
+            p = digits.end()
+            if not s.startswith(piece, p):
+                raise GroupSpecError(f"expected {piece!r}", p)
+            p += len(piece)
+        return AtomSpec(family, tuple(params)), p
     ch = s[pos] if pos < len(s) else ""
-    if ch in ("C", "D", "S", "A", "Q"):
-        val, p = _parse_int(s, pos + 1)
-        return AtomSpec(ch, (val,)), p
-    if ch == "E":
-        base, p = _parse_int(s, pos + 1)
-        if p >= len(s) or s[p] != "^":
-            raise GroupSpecError("expected '^' in elementary-abelian spec", p)
-        exp, p = _parse_int(s, p + 1)
-        return AtomSpec("E", (base, exp)), p
     raise GroupSpecError(f"unrecognized group family {ch!r}", pos)
 
 
@@ -121,16 +102,8 @@ def spec_label(spec: GroupSpec) -> str:
     """Canonical label; parse_group_spec(spec_label(s)) round-trips."""
     if isinstance(spec, ProductSpec):
         return f"{spec_label(spec.left)}x{spec_label(spec.right)}"
-    fam, params = spec.family, spec.params
-    if fam == "E":
-        return f"E{params[0]}^{params[1]}"
-    if fam == "SD":
-        return f"SD({params[0]},{params[1]},{params[2]})"
-    if fam == "SL2":
-        return f"SL(2,{params[0]})"
-    if fam == "PSL2":
-        return f"PSL(2,{params[0]})"
-    return f"{fam}{params[0]}"
+    text, _build = FAMILIES[spec.family]
+    return text.format(*spec.params)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +316,22 @@ def construct_psl2(q: int, cap: int | None = None) -> Group:
     return g
 
 
+# Family name -> (spec text, constructor).  Each `{}` in the text is one integer
+# parameter, passed to the constructor in order, followed by the cap.  The
+# parser tries the rows in this order, so the SL and SD rows precede `S{}`.
+FAMILIES = {
+    "PSL2": ("PSL(2,{})", construct_psl2),
+    "SL2": ("SL(2,{})", construct_sl2),
+    "SD": ("SD({},{},{})", semidirect_cyclic),
+    "C": ("C{}", cyclic),
+    "D": ("D{}", dihedral),
+    "S": ("S{}", symmetric),
+    "A": ("A{}", alternating),
+    "Q": ("Q{}", generalized_quaternion),
+    "E": ("E{}^{}", elementary_abelian),
+}
+
+
 def direct_product(g: Group, h: Group, cap: int | None = None) -> Group:
     """Componentwise product over index pairs (i, j), lexicographic order."""
     order = g.order * h.order
@@ -364,26 +353,8 @@ def build_group(spec: GroupSpec | str, cap: int | None = None) -> Group:
         spec = parse_group_spec(spec)
     if isinstance(spec, ProductSpec):
         return direct_product(build_group(spec.left, cap), build_group(spec.right, cap), cap)
-    fam, params = spec.family, spec.params
-    if fam == "C":
-        return cyclic(params[0], cap)
-    if fam == "D":
-        return dihedral(params[0], cap)
-    if fam == "S":
-        return symmetric(params[0], cap)
-    if fam == "A":
-        return alternating(params[0], cap)
-    if fam == "Q":
-        return generalized_quaternion(params[0], cap)
-    if fam == "E":
-        return elementary_abelian(params[0], params[1], cap)
-    if fam == "SD":
-        return semidirect_cyclic(params[0], params[1], params[2], cap)
-    if fam == "SL2":
-        return construct_sl2(params[0], cap)
-    if fam == "PSL2":
-        return construct_psl2(params[0], cap)
-    raise ValueError(f"unknown family {fam!r}")  # pragma: no cover
+    _text, build = FAMILIES[spec.family]
+    return build(*spec.params, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,6 @@ class TwinReducedGraph:
 
     original: Graph
     classes: list[list[int]]        # sorted members, classes sorted by min member
-    class_of: list[int]             # vertex -> class index
     retained: list[int]             # representative original-vertex ids, sorted
     graph: Graph = field(repr=False)  # induced on retained, search-ready
     # rank_masks[m]: search-graph vertices among the first m members of their
@@ -169,11 +168,9 @@ def twin_reduce(graph: Graph) -> TwinReducedGraph:
                 run_of[u].append(v)
                 run_of[v] = run_of[u]
     classes = [run or [v] for v, run in enumerate(run_of) if run is None or run[0] == v]
-    class_of = [0] * graph.n
     rank = [0] * graph.n
-    for ci, ms in enumerate(classes):
+    for ms in classes:
         for r, v in enumerate(ms):
-            class_of[v] = ci
             rank[v] = r
     retained = sorted(v for ms in classes for v in ms[:RETAIN])
     rank_masks = [0] * (RETAIN + 1)
@@ -184,7 +181,6 @@ def twin_reduce(graph: Graph) -> TwinReducedGraph:
     return TwinReducedGraph(
         original=graph,
         classes=classes,
-        class_of=class_of,
         retained=retained,
         graph=graph if len(retained) == graph.n else graph.induced(retained),
         rank_masks=rank_masks,

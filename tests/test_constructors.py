@@ -1,9 +1,12 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from pglab import build_group, direct_product
 from pglab.constructors import (
+    FAMILIES,
     AtomSpec,
     GroupSpecError,
     ProductSpec,
@@ -48,18 +51,35 @@ def test_parse_tolerates_whitespace():
     assert parse_group_spec("SD( 7, 3 , 2 )") == AtomSpec("SD", (7, 3, 2))
 
 
-@pytest.mark.parametrize(
-    "bad", ["", "C", "X5", "C3x", "xC3", "SD(7,3)", "PSL(3,4)", "E2", "C12junk", "PSL(2,)"]
-)
+# Malformed spec -> the position its GroupSpecError reports.
+_MALFORMED = {"": 0, "C": 1, "X5": 0, "C3x": 3, "xC3": 0, "SD(7,3)": 6, "PSL(3,4)": 0,
+              "E2": 2, "C12junk": 3, "PSL(2,)": 6, "SL(2,5": 6, "E2^": 3,
+              "SD(1,2,3,4)": 8, "Q": 1}
+
+
+@pytest.mark.parametrize("bad", list(_MALFORMED))
 def test_parse_rejects_malformed_specs(bad):
-    with pytest.raises(GroupSpecError):
+    with pytest.raises(GroupSpecError) as info:
         parse_group_spec(bad)
+    assert info.value.position == _MALFORMED[bad]
 
 
 def test_spec_label_roundtrip():
-    for text in ("C12", "E2^3", "PSL(2,7)", "SD(7,3,2)", "C2xC3xC5", "E2^2xC9"):
+    atoms = ("PSL(2,7)", "SL(2,5)", "SD(7,3,2)", "C12", "D5", "S4", "A5", "Q16", "E2^3")
+    assert [parse_group_spec(t).family for t in atoms] == list(FAMILIES)
+    for text in atoms + ("C2xC3xC5", "E2^2xC9"):
         spec = parse_group_spec(text)
         assert parse_group_spec(spec_label(spec)) == spec
+        assert build_group(spec).label == spec_label(spec)
+
+
+def test_readme_spec_table_lists_families():
+    """README's spec table names exactly the FAMILIES texts, one row each."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    section = readme.split("\n## Group specs\n", 1)[1].split("\n## ", 1)[0]
+    cells = re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE)
+    assert sorted(re.sub("[a-z]", "{}", c) for c in cells) == sorted(
+        text for text, _build in FAMILIES.values())
 
 
 def test_build_group_accepts_spec_or_text():
