@@ -113,20 +113,22 @@ def spec_label(spec: GroupSpec) -> str:
 def cyclic(n: int, cap: int | None = None) -> Group:
     if n < 1:
         raise ValueError(f"cyclic group needs order >= 1, got {n}")
-    _check_cap(n, cap, f"C{n}")
+    label = f"C{n}"
+    _check_cap(n, cap, label)
     elements = tuple(range(n))
-    return Group(elements, lambda a, b: (a + b) % n, f"C{n}", str)
+    return Group(elements, lambda a, b: (a + b) % n, label, str)
 
 
 def dihedral(n: int, cap: int | None = None) -> Group:
     """Symmetries of a regular n-gon, order 2n (n >= 3): permutations of n points."""
     if n < 3:
         raise ValueError(f"dihedral needs n >= 3 polygon vertices, got {n}")
-    _check_cap(2 * n, cap, f"D{n}")
+    label = f"D{n}"
+    _check_cap(2 * n, cap, label)
     rotation = tuple((i + 1) % n for i in range(n))
     reflection = tuple((n - i) % n for i in range(n))
     g = close_generators([rotation, reflection], compose_permutations,
-                         identity_permutation(n), cap=cap, label=f"D{n}",
+                         identity_permutation(n), cap=cap, label=label,
                          render_payload=render_permutation)
     assert g.order == 2 * n
     return g
@@ -136,14 +138,15 @@ def symmetric(n: int, cap: int | None = None) -> Group:
     if not 1 <= n <= 7:
         raise ValueError(f"symmetric group supported for 1 <= n <= 7, got {n}")
     order = factorial(n)
-    _check_cap(order, cap, f"S{n}")
+    label = f"S{n}"
+    _check_cap(order, cap, label)
     if n == 1:
-        return Group((identity_permutation(1),), compose_permutations, "S1",
+        return Group((identity_permutation(1),), compose_permutations, label,
                      render_permutation)
     gens = [permutation_from_cycles(n, [(1, 2)]),
             permutation_from_cycles(n, [tuple(range(1, n + 1))])]
     g = close_generators(gens, compose_permutations, identity_permutation(n),
-                         cap=cap, label=f"S{n}", render_payload=render_permutation)
+                         cap=cap, label=label, render_payload=render_permutation)
     assert g.order == order
     return g
 
@@ -152,10 +155,11 @@ def alternating(n: int, cap: int | None = None) -> Group:
     if not 1 <= n <= 7:
         raise ValueError(f"alternating group supported for 1 <= n <= 7, got {n}")
     order = max(1, factorial(n) // 2)
-    _check_cap(order, cap, f"A{n}")
+    label = f"A{n}"
+    _check_cap(order, cap, label)
     if n <= 2:
         return Group((identity_permutation(max(n, 1)),), compose_permutations,
-                     f"A{n}", render_permutation)
+                     label, render_permutation)
     gens = [permutation_from_cycles(n, [(1, 2, 3)])]
     if n > 3:
         if n % 2 == 1:
@@ -163,7 +167,7 @@ def alternating(n: int, cap: int | None = None) -> Group:
         else:
             gens.append(permutation_from_cycles(n, [tuple(range(2, n + 1))]))
     g = close_generators(gens, compose_permutations, identity_permutation(n),
-                         cap=cap, label=f"A{n}", render_payload=render_permutation)
+                         cap=cap, label=label, render_payload=render_permutation)
     assert g.order == order
     return g
 
@@ -176,7 +180,8 @@ def generalized_quaternion(order: int, cap: int | None = None) -> Group:
     """
     if order < 8 or order & (order - 1):
         raise ValueError(f"generalized quaternion needs order 2^k >= 8, got {order}")
-    _check_cap(order, cap, f"Q{order}")
+    label = f"Q{order}"
+    _check_cap(order, cap, label)
     half = order // 2
     quarter = order // 4
 
@@ -187,7 +192,7 @@ def generalized_quaternion(order: int, cap: int | None = None) -> Group:
         return (i % half, (j1 + j2) % 2)
 
     elements = tuple((i, j) for i in range(half) for j in range(2))
-    return Group(elements, mul, f"Q{order}", _render_pair)
+    return Group(elements, mul, label, _render_pair)
 
 
 def elementary_abelian(p: int, k: int, cap: int | None = None) -> Group:
@@ -196,7 +201,8 @@ def elementary_abelian(p: int, k: int, cap: int | None = None) -> Group:
     if not is_prime(p):
         raise ValueError(f"elementary abelian needs prime base, got {p}")
     order = p ** k
-    _check_cap(order, cap, f"E{p}^{k}")
+    label = f"E{p}^{k}"
+    _check_cap(order, cap, label)
     elements = []
     for idx in range(order):
         vec = []
@@ -209,7 +215,7 @@ def elementary_abelian(p: int, k: int, cap: int | None = None) -> Group:
     def add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((x + y) % p for x, y in zip(a, b))
 
-    return Group(tuple(elements), add, f"E{p}^{k}",
+    return Group(tuple(elements), add, label,
                  lambda v: "(" + ",".join(map(str, v)) + ")")
 
 
@@ -226,7 +232,8 @@ def semidirect_cyclic(n: int, m: int, k: int, cap: int | None = None) -> Group:
         raise ValueError(f"action multiplier {k} not invertible mod {n}")
     if n > 1 and pow(k, m, n) != 1:
         raise ValueError(f"action multiplier {k} does not satisfy k^{m} = 1 mod {n}")
-    _check_cap(n * m, cap, f"SD({n},{m},{k})")
+    label = f"SD({n},{m},{k})"
+    _check_cap(n * m, cap, label)
     kpow = [pow(k, j, n) for j in range(m)]
 
     def mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -235,7 +242,7 @@ def semidirect_cyclic(n: int, m: int, k: int, cap: int | None = None) -> Group:
         return ((i1 + kpow[j1] * i2) % n, (j1 + j2) % m)
 
     elements = tuple((i, j) for i in range(n) for j in range(m))
-    return Group(elements, mul, f"SD({n},{m},{k})", _render_pair)
+    return Group(elements, mul, label, _render_pair)
 
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
@@ -283,12 +290,13 @@ def _render_matrix(a: Matrix) -> str:
 def construct_sl2(q: int, cap: int | None = None) -> Group:
     """SL(2, q): closure of the elementary transvections and a torus element."""
     order = q * (q * q - 1)
-    _check_cap(order, cap, f"SL(2,{q})")
+    label = f"SL(2,{q})"
+    _check_cap(order, cap, label)
     matmul, _negm, gens = _matrix_ops(q)
-    g = close_generators(gens, matmul, _IDENTITY, cap=cap, label=f"SL(2,{q})",
+    g = close_generators(gens, matmul, _IDENTITY, cap=cap, label=label,
                          render_payload=_render_matrix)
     if g.order != order:
-        raise RuntimeError(f"SL(2,{q}) closure has order {g.order}, expected {order}")
+        raise RuntimeError(f"{label} closure has order {g.order}, expected {order}")
     return g
 
 
@@ -299,7 +307,8 @@ def construct_psl2(q: int, cap: int | None = None) -> Group:
     first row-major entry where they differ (by field-element index).
     """
     order = q * (q * q - 1) // gcd(2, q - 1)
-    _check_cap(order, cap, f"PSL(2,{q})")
+    label = f"PSL(2,{q})"
+    _check_cap(order, cap, label)
     matmul, negm, gens = _matrix_ops(q)
 
     def canon(m: Matrix) -> Matrix:
@@ -310,9 +319,9 @@ def construct_psl2(q: int, cap: int | None = None) -> Group:
         return canon(matmul(a, b))
 
     g = close_generators([canon(m) for m in gens], mul, _IDENTITY, cap=cap,
-                         label=f"PSL(2,{q})", render_payload=_render_matrix)
+                         label=label, render_payload=_render_matrix)
     if g.order != order:
-        raise RuntimeError(f"PSL(2,{q}) closure has order {g.order}, expected {order}")
+        raise RuntimeError(f"{label} closure has order {g.order}, expected {order}")
     return g
 
 
@@ -335,7 +344,8 @@ FAMILIES = {
 def direct_product(g: Group, h: Group, cap: int | None = None) -> Group:
     """Componentwise product over index pairs (i, j), lexicographic order."""
     order = g.order * h.order
-    _check_cap(order, cap, f"{g.label}x{h.label}")
+    label = f"{g.label}x{h.label}"
+    _check_cap(order, cap, label)
     elements = tuple((i, j) for i in range(g.order) for j in range(h.order))
 
     def mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -344,7 +354,7 @@ def direct_product(g: Group, h: Group, cap: int | None = None) -> Group:
     def render(pair: tuple[int, int]) -> str:
         return f"({g.render(pair[0])},{h.render(pair[1])})"
 
-    return Group(elements, mul, f"{g.label}x{h.label}", render)
+    return Group(elements, mul, label, render)
 
 
 def build_group(spec: GroupSpec | str, cap: int | None = None) -> Group:

@@ -12,6 +12,16 @@ where m(H) is the size of H's largest closed-twin or open-twin class.  The
 first witness in search order never needs more: the members of one host class
 that a copy uses are twins inside H, and swapping a used member for a
 smaller unused one yields a copy that the search meets earlier.
+
+A search also looks two steps ahead.  Say step k's pattern vertex is not
+adjacent to step j's (j < k), but both are adjacent to a vertex placed after
+step k.  That vertex's image is then a common neighbour of x_j and x_k among
+the searched vertices, so x_k lies in N(N(x_j) & searched), and no other
+candidate for step k can be completed.  Cutting those candidates drops only
+subtrees that hold no copy, so the first witness is the same as without the
+cut.  The steps that take the cut depend on the pattern alone (P2uP3bar step
+1, C4 step 2, C5 step 3, P5bar step 2); each keeps one distance-two mask,
+rebuilt when x_j changes.
 """
 
 from __future__ import annotations
@@ -31,6 +41,10 @@ class Pattern:
     adj_masks: tuple[int, ...]
     degrees: tuple[int, ...]
     max_twins: int  # m(H): the largest closed-twin or open-twin class
+    order: tuple[int, ...]  # search order: decreasing degree, then id
+    # lookahead[k]: the earliest step j < k whose vertex is not adjacent to
+    # step k's but shares a neighbour with it placed after step k, or None.
+    lookahead: tuple[int | None, ...]
 
 
 def _make_pattern(name: str, size: int, edges: tuple[tuple[int, int], ...]) -> Pattern:
@@ -42,7 +56,15 @@ def _make_pattern(name: str, size: int, edges: tuple[tuple[int, int], ...]) -> P
     closed = Counter(m | 1 << v for v, m in enumerate(masks))
     opened = Counter(masks)
     max_twins = max(max(closed.values()), max(opened.values()))
-    return Pattern(name, size, edges, tuple(masks), degrees, max_twins)
+    order = tuple(sorted(range(size), key=lambda v: (-degrees[v], v)))
+    lookahead = []
+    for k, pv in enumerate(order):
+        later = sum(1 << w for w in order[k + 1:])
+        lookahead.append(next((j for j, pj in enumerate(order[:k])
+                               if not masks[pj] >> pv & 1
+                               and masks[pj] & masks[pv] & later), None))
+    return Pattern(name, size, edges, tuple(masks), degrees, max_twins, order,
+                   tuple(lookahead))
 
 
 PATTERNS: dict[str, Pattern] = {
@@ -96,7 +118,10 @@ def find_induced_pattern(g: Graph | TwinReducedGraph,
 
     Deterministic backtracking on the twin-reduced graph: pattern vertices are
     tried in decreasing-degree order, graph candidates in ascending id order,
-    among the first m(H) members of each twin class.
+    among the first m(H) members of each twin class.  At a step with a
+    look-ahead step j, candidates must also lie within distance two of x_j
+    through a searched vertex; the cut skips only candidates that no copy
+    extends, so the first copy found is the one found without it.
     """
     if isinstance(pattern, str):
         pattern = PATTERNS[pattern]
@@ -108,10 +133,12 @@ def find_induced_pattern(g: Graph | TwinReducedGraph,
     if s.n < pattern.size:
         return None
 
-    order = sorted(range(pattern.size), key=lambda v: (-pattern.degrees[v], v))
+    order = pattern.order
     full = red.rank_masks[pattern.max_twins]
     degs = [s.degree(v) for v in range(s.n)]
     assignment = [-1] * pattern.size  # pattern vertex -> search-graph vertex
+    # reach[k]: (x_j, N(N(x_j) & full)) for step k's look-ahead step j.
+    reach = [(-1, 0)] * pattern.size
 
     def backtrack(step: int, used: int) -> bool:
         if step == len(order):
@@ -124,6 +151,15 @@ def find_induced_pattern(g: Graph | TwinReducedGraph,
                 cand &= s.adj[gv]
             else:
                 cand &= ~s.adj[gv]
+        j = pattern.lookahead[step]
+        if j is not None and cand:
+            xj = assignment[order[j]]
+            if reach[step][0] != xj:
+                two = 0
+                for y in _bits(s.adj[xj] & full):
+                    two |= s.adj[y]
+                reach[step] = (xj, two)
+            cand &= reach[step][1]
         need = pattern.degrees[pv]
         while cand:
             low = cand & -cand

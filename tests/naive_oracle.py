@@ -16,10 +16,12 @@ from collections import Counter
 from functools import cache
 from itertools import combinations, permutations
 
-from pglab import (PATTERNS, Graph, TwinReducedGraph, find_hole, find_induced_pattern,
-                   twin_reduce)
+from hypothesis import strategies as st
+
+from pglab import (PATTERNS, Graph, TwinReducedGraph, Witness, find_hole,
+                   find_induced_pattern, twin_reduce, verify_witness)
 from pglab.group_kernel import CapExceededError
-from pglab.patterns import _mcs_is_chordal
+from pglab.patterns import _as_reduction, _mcs_is_chordal
 
 # -- power graph adjacency oracle ---------------------------------------------
 
@@ -72,6 +74,19 @@ def reference_power_graph(group, proper=False):
     if not proper:
         return Graph(adj, labels)
     return Graph([row >> 1 for row in adj[1:]], labels[1:])
+
+
+@st.composite
+def small_graphs(draw):
+    """Random simple graphs on 0 to 9 vertices."""
+    n = draw(st.integers(0, 9))
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return Graph(adj)
 
 
 def naive_twin_classes(graph):
@@ -205,6 +220,86 @@ def naive_pattern_presence(graph, names=None):
         if wanted:
             out.update(_subset_masks(rows, graph.n, k, _TABLES[k], wanted))
     return out
+
+
+def naive_first_witness(graph, pattern):
+    """The search's first copy of `pattern` in `graph`, by enumeration, or None.
+
+    Every induced copy is an injective map from pattern vertices to graph
+    vertices; its images read in search order (decreasing pattern degree,
+    ties by pattern id) form a tuple.  The first copy is the one with the
+    lexicographically least tuple.  Returns its images in pattern-vertex
+    order.  `itertools.permutations` yields tuples in lexicographic order,
+    so the first induced one is that minimum.
+    """
+    if isinstance(pattern, str):
+        pattern = PATTERNS[pattern]
+    k = pattern.size
+    order = sorted(range(k), key=lambda v: (-pattern.adj_masks[v].bit_count(), v))
+    edge = {frozenset(e) for e in pattern.edges}
+    want = [[frozenset((order[a], order[b])) in edge for b in range(k)] for a in range(k)]
+    rows = graph.adj
+    for images in permutations(range(graph.n), k):
+        if all((rows[images[a]] >> images[b] & 1) == want[a][b]
+               for a in range(k) for b in range(a + 1, k)):
+            placed = [0] * k
+            for a, v in enumerate(order):
+                placed[v] = images[a]
+            return tuple(placed)
+    return None
+
+
+def reference_find_induced_pattern(g, pattern):
+    """The induced-pattern backtracker as it was before the distance-two
+    look-ahead: same order, same twin retention, no cut.  Kept to check that
+    the cut leaves every witness unchanged."""
+    if isinstance(pattern, str):
+        pattern = PATTERNS[pattern]
+    red = _as_reduction(g)
+    if pattern.max_twins >= len(red.rank_masks):
+        raise ValueError(f"{pattern.name} has {pattern.max_twins} mutual twins; "
+                         f"twin reduction keeps {len(red.rank_masks) - 1}")
+    s = red.graph
+    if s.n < pattern.size:
+        return None
+
+    order = sorted(range(pattern.size), key=lambda v: (-pattern.degrees[v], v))
+    full = red.rank_masks[pattern.max_twins]
+    degs = [s.degree(v) for v in range(s.n)]
+    assignment = [-1] * pattern.size  # pattern vertex -> search-graph vertex
+
+    def backtrack(step: int, used: int) -> bool:
+        if step == len(order):
+            return True
+        pv = order[step]
+        cand = full & ~used
+        for prev in order[:step]:
+            gv = assignment[prev]
+            if pattern.adj_masks[prev] >> pv & 1:
+                cand &= s.adj[gv]
+            else:
+                cand &= ~s.adj[gv]
+        need = pattern.degrees[pv]
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            if degs[v] < need:
+                continue
+            assignment[pv] = v
+            if backtrack(step + 1, used | low):
+                return True
+            assignment[pv] = -1
+        return False
+
+    if not backtrack(0, 0):
+        return None
+    original = tuple(red.retained[assignment[i]] for i in range(pattern.size))
+    witness = Witness(pattern.name, original,
+                      tuple(red.original.label(v) for v in original))
+    if not verify_witness(red.original, pattern, original):  # pragma: no cover
+        raise RuntimeError(f"search produced an invalid {pattern.name} witness")
+    return witness
 
 
 # -- naive hole search -----------------------------------------------------------

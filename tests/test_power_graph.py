@@ -3,7 +3,6 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pglab import (
     Graph,
@@ -24,6 +23,7 @@ from naive_oracle import (
     naive_twin_classes,
     neighbors,
     reference_power_graph,
+    small_graphs,
 )
 
 # -- construction against the naive adjacency oracle -----------------------------
@@ -213,18 +213,6 @@ def _check_against_oracle(graph, classes):
         assert red.rank_masks[m] == sum(1 << i for i, v in enumerate(red.retained)
                                         if v in first)
     return red
-
-
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(0, 9))
-    adj = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if draw(st.booleans()):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return Graph(adj)
 
 
 @settings(max_examples=300, deadline=None)
