@@ -5,6 +5,9 @@ explicit power enumeration (for `reference_power_graph`, one walk over
 every element's powers), pattern detection from direct k-subset
 enumeration against permutation-closed edge-mask tables, and hole/chordality
 checks from subset enumeration.  Slow on purpose; kept honest on purpose.
+One exception: `reference_find_induced_pattern` is the package's backtracker
+without its distance-two look-ahead, the reference that cut is checked
+against on graphs too large to enumerate.
 
 The last section is different: it keeps, as free functions, graph and group
 helpers that the package no longer calls, for the tests written against
