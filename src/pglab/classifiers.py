@@ -351,7 +351,10 @@ class Case:
     other vertex, and neither these patterns nor a hole has such a vertex,
     so the P(G) statements read the same on P*(G).  `family` and `when`
     restrict the corpus entries the case covers.  `rhs` takes the entry's
-    StructureFlags, or the field size q where `by_q` is set.
+    StructureFlags, or the field size q where `by_q` is set.  With `pairs`
+    set the case covers ordered pairs of product sub-corpus members instead,
+    and `rhs` takes both factors' flags.  A case with neither patterns nor a
+    hole has no graph side: it is rhs-only, over the Suzuki parameters.
     """
 
     id: str
@@ -361,6 +364,11 @@ class Case:
     family: str | None = None
     when: Callable[[StructureFlags], bool] | None = None
     by_q: bool = False
+    pairs: bool = False
+
+    @property
+    def rhs_only(self) -> bool:
+        return not self.patterns and self.hole is None
 
 
 def _nilpotent(f: StructureFlags) -> bool:
@@ -382,12 +390,10 @@ CASES: dict[str, Case] = {c.id: c for c in (
     Case("T-CHAIN", rhs_chain, ("C3", "C5", "2K2")),
     Case("T-P5-NILP", rhs_p5_nilpotent, ("P5",), when=_nilpotent),
     Case("T-P5P5B-NILP", rhs_p5_nilpotent, _P5_P5BAR, when=_nilpotent),
-    # Over ordered pairs of the product sub-corpus.
-    Case("T-P5P5B-PRODUCT", rhs_p5p5bar_product, _P5_P5BAR),
+    Case("T-P5P5B-PRODUCT", rhs_p5p5bar_product, _P5_P5BAR, pairs=True),
     Case("T-SN", rhs_symmetric, _P5_P5BAR, family="S"),
     Case("T-AN", rhs_alternating, _P5_P5BAR, family="A"),
     Case("T-PSL2", rhs_psl2, _P5_P5BAR, family="PSL2", by_q=True),
-    # Structural side only, over the corpus's Suzuki parameters.
     Case("T-SZ", rhs_sz, by_q=True),
     Case("T-P2P3-NILP", rhs_p2p3_nilpotent, _P2P3, when=_nilpotent),
     Case("T-P2P3-NONNILP", rhs_p2p3_nonnilpotent, _P2P3, when=_not_nilpotent),

@@ -2,12 +2,13 @@
 
 Each row of the case table `classifiers.CASES` pairs a graph-side check
 (pattern freeness, then optionally a hole search) with a structural
-right-hand side.  The harness evaluates both independently on every corpus
-member the row covers and reports agreement, with witnesses for the failing
-graph sides.  The harness and `analyze_group` search only P*(G).  P(G) adds
-the identity, adjacent to every other vertex, which lies in no induced copy
-of a pattern or hole without such a dominating vertex: those have the same
-first witness on both graphs.  C3 and the diamond are the exceptions (`_find`).
+right-hand side.  The harness evaluates both independently on every subject
+the row covers (corpus members, or ordered pairs of product sub-corpus
+members) and reports agreement, with witnesses for the failing graph sides.
+The harness and `analyze_group` search only P*(G).  P(G) adds the identity,
+adjacent to every other vertex, which lies in no induced copy of a pattern
+or hole without such a dominating vertex: those have the same first witness
+on both graphs.  C3 and the diamond are the exceptions (`_find`).
 
 Reports are deterministic: entry order follows the corpus, witnesses come
 from the deterministic searches, and the only run-dependent field is the
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import product
 
 from .classifiers import (
     CASES,
@@ -123,13 +125,14 @@ def load_corpus(path: str) -> Corpus:
 
 class GroupBundle:
     """Per-group lazy cache: group, flags, and the twin reduction of P*(G),
-    the one graph that is searched (its `original` is P*(G) itself)."""
+    the one graph that is searched (its `original` is P*(G) itself).  A
+    product of corpus groups is given its group, built from theirs."""
 
-    def __init__(self, spec: GroupSpec, cap: int | None, label: str | None = None):
+    def __init__(self, spec: GroupSpec, cap: int | None, group: Group | None = None):
         self.spec = spec
         self.cap = cap
-        self.label = label if label is not None else spec_label(spec)
-        self._group: Group | None = None
+        self.label = spec_label(spec)
+        self._group = group
         self._flags: StructureFlags | None = None
         self._reduction: TwinReducedGraph | None = None
 
@@ -191,10 +194,6 @@ class VerificationReport:
         return doc
 
 
-def _witness_labels(w: Witness | None) -> tuple[str, ...] | None:
-    return tuple(w.labels) if w is not None else None
-
-
 class Harness:
     """Evaluates every verification case over one corpus, sharing group and
     graph construction across cases."""
@@ -205,54 +204,55 @@ class Harness:
         self.cap = cap
         self.min_hole_len = min_hole_len
         self._bundles: dict[str, GroupBundle] = {}
-        self._product_bundles: dict[tuple[str, str], GroupBundle] = {}
 
     def bundle(self, entry: CorpusEntry) -> GroupBundle:
         key = entry.label
         if key not in self._bundles:
-            self._bundles[key] = GroupBundle(entry.spec, self.cap, key)
+            self._bundles[key] = GroupBundle(entry.spec, self.cap)
         return self._bundles[key]
-
-    def _product_bundle(self, a: CorpusEntry, b: CorpusEntry) -> GroupBundle:
-        key = (a.label, b.label)
-        if key not in self._product_bundles:
-            ga = self.bundle(a).group
-            gb = self.bundle(b).group
-            bundle = GroupBundle(ProductSpec(a.spec, b.spec), self.cap,
-                                 f"{a.label}x{b.label}")
-            bundle._group = direct_product(ga, gb, self.cap)
-            self._product_bundles[key] = bundle
-        return self._product_bundles[key]
 
     def run_case(self, theorem_id: str) -> VerificationReport:
         case = CASES.get(theorem_id)
         if case is None:
             raise ValueError(f"unknown theorem id {theorem_id!r}")
         start = time.monotonic()
-        if theorem_id == "T-SZ":
-            records = [
-                EntryRecord(group=f"Sz({q})", graph_side=None,
-                            rhs=rhs_predicate("T-SZ", q), agree=True, witness=None)
-                for q in self.corpus.sz_params
-            ]
-            return self._finish(theorem_id, records, start, note="rhs-only")
-        if theorem_id == "T-P5P5B-PRODUCT":
-            return self._run_product_case(case, start)
-
         records = []
-        for entry in self.corpus.entries:
-            if case.family is not None and entry.family != case.family:
-                continue
-            bundle = self.bundle(entry)
-            if case.when is not None and not case.when(bundle.flags):
-                continue
-            side, witness = self._graph_side(bundle, case)
-            rhs = rhs_predicate(theorem_id,
-                                entry.spec.params[0] if case.by_q else bundle.flags)
+        for label, bundle, rhs_args in self._subjects(case):
+            # The graph side first: building P*(G) walks the cyclic subgroups,
+            # which fills the element orders that the flags read.
+            side, witness = ((None, None) if bundle is None
+                             else self._graph_side(bundle, case))
+            rhs = rhs_predicate(theorem_id, *rhs_args())
             records.append(EntryRecord(
-                group=bundle.label, graph_side=side, rhs=rhs,
-                agree=side == rhs, witness=_witness_labels(witness)))
-        return self._finish(theorem_id, records, start)
+                group=label, graph_side=side, rhs=rhs, agree=side is None or side == rhs,
+                witness=None if witness is None else witness.labels))
+        ms = int((time.monotonic() - start) * 1000)
+        return VerificationReport(theorem_id, tuple(records),
+                                  sum(1 for r in records if not r.agree), ms,
+                                  "rhs-only" if case.rhs_only else None)
+
+    def _subjects(self, case: Case):
+        """(label, bundle to search or None, thunk of the structural side's
+        arguments) for each subject the case covers, in report order.  The
+        caller runs each thunk before it draws the next subject."""
+        if case.rhs_only:
+            for q in self.corpus.sz_params:
+                yield f"Sz({q})", None, lambda: (q,)
+        elif case.pairs:
+            for a, b in product(self.corpus.product_entries, repeat=2):
+                ba, bb = self.bundle(a), self.bundle(b)
+                if ba.group.order * bb.group.order <= PRODUCT_ORDER_CAP:
+                    pair = GroupBundle(ProductSpec(a.spec, b.spec), self.cap,
+                                       direct_product(ba.group, bb.group, self.cap))
+                    yield pair.label, pair, lambda: (ba.flags, bb.flags)
+        else:
+            for entry in self.corpus.entries:
+                if case.family is not None and entry.family != case.family:
+                    continue
+                bundle = self.bundle(entry)
+                if case.when is None or case.when(bundle.flags):
+                    yield bundle.label, bundle, lambda: (
+                        entry.spec.params[0] if case.by_q else bundle.flags,)
 
     def _graph_side(self, bundle: GroupBundle, case: Case) -> tuple[bool, Witness | None]:
         red = bundle.reduction(True)
@@ -268,29 +268,6 @@ class Harness:
         min_len = self.min_hole_len if case.hole == "even" else 4
         w = find_hole(red, parity=case.hole, min_len=min_len)
         return w is None, w
-
-    def _run_product_case(self, case: Case, start: float) -> VerificationReport:
-        records = []
-        members = self.corpus.product_entries
-        for a in members:
-            for b in members:
-                order = self.bundle(a).group.order * self.bundle(b).group.order
-                if order > PRODUCT_ORDER_CAP:
-                    continue
-                pb = self._product_bundle(a, b)
-                side, witness = self._graph_side(pb, case)
-                rhs = rhs_predicate(case.id,
-                                    self.bundle(a).flags, self.bundle(b).flags)
-                records.append(EntryRecord(
-                    group=pb.label, graph_side=side, rhs=rhs,
-                    agree=side == rhs, witness=_witness_labels(witness)))
-        return self._finish(case.id, records, start)
-
-    def _finish(self, theorem_id: str, records: list[EntryRecord],
-                start: float, note: str | None = None) -> VerificationReport:
-        mismatches = sum(1 for r in records if not r.agree)
-        ms = int((time.monotonic() - start) * 1000)
-        return VerificationReport(theorem_id, tuple(records), mismatches, ms, note)
 
     def run_all(self) -> list[VerificationReport]:
         return [self.run_case(tid) for tid in THEOREM_IDS]
@@ -376,7 +353,8 @@ def analyze_group(spec_text: str, proper: bool = False,
     names = list(PATTERNS) if patterns is None else list(patterns)
     for name in names:
         if name not in PATTERNS:
-            raise ValueError(f"unknown pattern {name!r}")
+            raise ValueError(f"unknown pattern {name!r}; "
+                             f"available: {', '.join(PATTERNS)}")
     bundle = GroupBundle(spec, cap)
     group = bundle.group
     # Built first: its cyclic-subgroup walk fills the element orders that the

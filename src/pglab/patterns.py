@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .power_graph import Graph, TwinReducedGraph, twin_reduce
+from .power_graph import Graph, TwinReducedGraph, _bits, twin_reduce
 
 
 @dataclass(frozen=True)
@@ -222,15 +222,8 @@ def _mcs_is_chordal(s: Graph) -> bool:
     return True
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def find_hole(g: Graph | TwinReducedGraph, parity: str = "any",
-              min_len: int = 4, max_len: int | None = None) -> Witness | None:
+              min_len: int = 4) -> Witness | None:
     """First induced cycle with length >= min_len matching the parity filter.
 
     parity: 'any', 'even', or 'odd'.  The witness pattern name is C<length>
@@ -243,7 +236,6 @@ def find_hole(g: Graph | TwinReducedGraph, parity: str = "any",
         raise ValueError(f"cycle length is at least 3, got min_len={min_len}")
     red = _as_reduction(g)
     s = red.graph
-    cap = s.n if max_len is None else min(max_len, s.n)
     # A triangle may lie in one closed twin class; a longer induced cycle meets
     # a closed class at most once and an open one at most twice.
     allowed = red.rank_masks[3 if min_len == 3 else 2]
@@ -261,7 +253,7 @@ def find_hole(g: Graph | TwinReducedGraph, parity: str = "any",
         above = ~((1 << (start + 1)) - 1) & allowed
         first_cands = s.adj[start] & above
         for v1 in _bits(first_cands):
-            found = _hole_dfs(s, start, v1, above, cap, min_len, parity_ok)
+            found = _hole_dfs(s, start, v1, above, min_len, parity_ok)
             if found is not None:
                 original = tuple(red.retained[v] for v in found)
                 return Witness(f"C{len(found)}", original,
@@ -269,8 +261,8 @@ def find_hole(g: Graph | TwinReducedGraph, parity: str = "any",
     return None
 
 
-def _hole_dfs(s: Graph, start: int, v1: int, above: int, cap: int,
-              min_len: int, parity_ok) -> list[int] | None:
+def _hole_dfs(s: Graph, start: int, v1: int, above: int, min_len: int,
+              parity_ok) -> list[int] | None:
     """Depth-first over induced paths start, v1, ...: at each path, first the
     smallest closing vertex w > v1, then the extensions in ascending order.
     Iterative, so the path length is not bounded by the recursion limit."""
@@ -282,12 +274,11 @@ def _hole_dfs(s: Graph, start: int, v1: int, above: int, cap: int,
     pending: list[int] = []  # pending[i]: untried extensions of path[:i + 2]
     while True:
         vk, length, block = path[-1], len(path) + 1, blocked[-1]
-        if min_len <= length <= cap and parity_ok(length):
+        if length >= min_len and parity_ok(length):
             close = adj[vk] & adj[start] & past_v1 & ~block & ~path_mask
             if close:
                 return path + [(close & -close).bit_length() - 1]
-        pending.append(adj[vk] & above & ~adj[start] & ~block & ~path_mask
-                       if length < cap else 0)
+        pending.append(adj[vk] & above & ~adj[start] & ~block & ~path_mask)
         while not pending[-1]:
             pending.pop()
             if not pending:

@@ -40,6 +40,14 @@ from .group_kernel import Group
 RETAIN = 3
 
 
+def _bits(mask: int):
+    """The set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Graph:
     """Immutable-by-convention undirected graph; adj[v] is a bitmask.
 
@@ -70,16 +78,8 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted list of (u, v) pairs with u < v."""
-        out = []
-        for u in range(self.n):
-            rest = self.adj[u] >> (u + 1)
-            v = u + 1
-            while rest:
-                if rest & 1:
-                    out.append((u, v))
-                rest >>= 1
-                v += 1
-        return out
+        return [(u, u + 1 + d) for u in range(self.n)
+                for d in _bits(self.adj[u] >> u + 1)]
 
     def induced(self, vertices: list[int]) -> "Graph":
         """Induced subgraph; vertex k of the result is vertices[k]."""

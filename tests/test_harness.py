@@ -283,6 +283,33 @@ def test_single_entry_corpus():
     assert all(r.mismatches == 0 for r in by_id.values())
 
 
+def _four_entry_corpus():
+    return Corpus(tuple(_entry(s) for s in ("S4", "C12", "C2", "C50")),
+                  tuple(_entry(s) for s in ("C2", "C50")), ())
+
+
+def test_product_case_skips_pairs_over_the_order_cap():
+    """C50xC50 has order 2,500, over PRODUCT_ORDER_CAP, so it is skipped."""
+    assert 50 * 50 > PRODUCT_ORDER_CAP
+    report = Harness(_four_entry_corpus()).run_case("T-P5P5B-PRODUCT")
+    assert [e.group for e in report.entries] == ["C2xC2", "C2xC50", "C50xC2"]
+    assert report.mismatches == 0
+
+
+def test_run_all_walks_each_group_once(monkeypatch):
+    """One cyclic-subgroup walk per corpus entry and per product group: the
+    graph sides run before the flags are read."""
+    from pglab.group_kernel import Group
+
+    walks = []
+    walk = Group.cyclic_subgroups
+    monkeypatch.setattr(Group, "cyclic_subgroups",
+                        lambda group: walks.append(group.label) or walk(group))
+    Harness(_four_entry_corpus()).run_all()
+    assert sorted(walks) == sorted(["S4", "C12", "C2", "C50",
+                                    "C2xC2", "C2xC50", "C50xC2"])
+
+
 def test_harness_cap_applies():
     h = Harness(Corpus((_entry("C100"),), (), ()), cap=50)
     from pglab.group_kernel import CapExceededError

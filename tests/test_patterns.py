@@ -247,7 +247,6 @@ def test_find_hole_on_rings():
 
 def test_find_hole_respects_bounds_and_validates():
     c5 = _ring(5)
-    assert find_hole(c5, max_len=4) is None
     assert find_hole(c5, min_len=5).pattern == "C5"
     with pytest.raises(ValueError):
         find_hole(c5, parity="prime")

@@ -115,6 +115,13 @@ def test_proper_graph_drops_identity_and_shifts():
     assert proper.edges() == [(1, 4)]
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_edges_match_brute_force_pairs(graph):
+    assert graph.edges() == [(u, v) for u in range(graph.n)
+                             for v in range(u + 1, graph.n) if graph.has_edge(u, v)]
+
+
 def test_degree_sum_is_twice_edge_count():
     g = build_power_graph(build_group("C30"))
     assert sum(g.degree(v) for v in range(g.n)) == 2 * len(g.edges())

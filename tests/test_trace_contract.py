@@ -23,14 +23,16 @@ def _load_tracing():
 def test_tracer_patches_and_restores_pglab():
     tracer = _load_tracing().Tracer()
     entries = tuple(CorpusEntry(s, parse_group_spec(s)) for s in ("S4", "PSL(2,8)"))
-    harness = Harness(Corpus(entries, (), ()))
+    factors = tuple(CorpusEntry(s, parse_group_spec(s)) for s in ("C2", "C3"))
+    harness = Harness(Corpus(entries, factors, (8,)))
     tracer.install()
     try:
         patched = list(tracer._undo)
         assert all(getattr(owner, attr) is not original
                    for owner, attr, original in patched)
         analyze_group("PSL(2,7)", proper=True)
-        harness.run_case("T-CHAIN")
+        for theorem_id in ("T-CHAIN", "T-P5P5B-PRODUCT", "T-SZ"):
+            harness.run_case(theorem_id)
     finally:
         tracer.uninstall()
     assert all(getattr(owner, attr) is original for owner, attr, original in patched)
@@ -38,3 +40,9 @@ def test_tracer_patches_and_restores_pglab():
     assert values["finite_field.setup_s"] > 0
     assert values["power_graph.reduced_vertices"] > 0
     assert values["patterns.searches"] > 0
+    for case in ("T-CHAIN", "T-P5P5B-PRODUCT", "T-SZ"):
+        assert values[f"harness.{case}_s"] > 0
+    # Product groups come from `direct_product` and are reduced through
+    # `GroupBundle.reduction`, so their searches carry their labels.
+    searched = {graph for _, graph, _ in tracer.top_searches(100)}
+    assert {"C2xC3*", "C3xC2*"} <= searched
