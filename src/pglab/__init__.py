@@ -32,10 +32,8 @@ from .constructors import (
 )
 from .power_graph import (
     Graph,
-    PrimeGraph,
     TwinReducedGraph,
     build_power_graph,
-    build_prime_graph,
     export_graph,
     twin_reduce,
 )
@@ -56,6 +54,7 @@ from .classifiers import (
     is_admissible_cyclic_order,
     is_prime,
     is_prime_power,
+    prime_graph_edges,
     psl2_side_numbers,
     rhs_predicate,
     sz_side_numbers,

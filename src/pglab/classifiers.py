@@ -1,11 +1,13 @@
 """Group-structure predicates and number-theoretic side conditions.
 
-`compute_structure_flags` derives, from element orders alone, the complete
-set of structural facts the verification right-hand sides consume: prime
-factorization of |G|, cyclicity, nilpotency (all Sylow subgroups normal,
-detected by counting p-elements), EPPO/EPO (prime-power / prime element
-orders), Sylow normality/cyclicity/exponent per prime, and whether the group
-is an exponent-2 2-group.
+`compute_structure_flags` derives, from the element-order profile alone
+(each distinct element order and its count), the complete set of structural
+facts the verification right-hand sides consume: prime factorization of |G|,
+cyclicity, nilpotency (all Sylow subgroups normal, detected by counting
+p-elements), EPPO/EPO (prime-power / prime element orders), Sylow
+normality/cyclicity/exponent per prime, and whether the group is an
+exponent-2 2-group.  `prime_graph_edges` reads the prime graph off the same
+flags.
 
 `CASES` is the table of the 16 verification cases: which corpus entries
 each covers, its graph side (checked on P*(G)), and its structural
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable
 
 from .group_kernel import Group
@@ -103,41 +106,45 @@ class StructureFlags:
 def compute_structure_flags(group: Group) -> StructureFlags:
     order = group.order
     fac = tuple(factorize(order))
-    orders = group.element_orders()
-    profile = Counter(orders)
-    exponent = math.lcm(*orders)
-    primes = [p for p, _ in fac]
+    profile = Counter(group.element_orders())
 
     normal_sylow: dict[int, bool] = {}
     sylow_cyclic: dict[int, bool] = {}
     sylow_exponent: dict[int, int] = {}
     for p, e in fac:
-        p_orders = [o for o in orders if _is_power_of(o, p)]
+        p_profile = {o: c for o, c in profile.items() if _is_power_of(o, p)}
         # The p-elements form the unique (hence normal) Sylow p-subgroup
         # exactly when there are p^e of them.
-        normal_sylow[p] = len(p_orders) == p ** e
-        max_p_order = max(p_orders)
-        sylow_cyclic[p] = max_p_order == p ** e
-        sylow_exponent[p] = max_p_order
+        normal_sylow[p] = sum(p_profile.values()) == p ** e
+        sylow_exponent[p] = max(p_profile)
+        sylow_cyclic[p] = sylow_exponent[p] == p ** e
 
-    is_eppo = all(len(factorize(o)) <= 1 for o in profile)
-    is_epo = all(is_prime(o) for o in profile if o > 1)
-
+    exponent = math.lcm(*profile)
     return StructureFlags(
         order=order,
         factorization=fac,
         exponent=exponent,
         order_profile=tuple(sorted(profile.items())),
         is_p_group=len(fac) <= 1,
-        is_cyclic=max(orders) == order,
+        is_cyclic=order in profile,
         is_nilpotent=all(normal_sylow.values()),
-        is_eppo=is_eppo,
-        is_epo=is_epo,
+        is_eppo=all(len(factorize(o)) <= 1 for o in profile),
+        is_epo=all(is_prime(o) for o in profile if o > 1),
         is_exponent2_2group=exponent == 2,
         normal_sylow=normal_sylow,
         sylow_cyclic=sylow_cyclic,
         sylow_exponent=sylow_exponent,
     )
+
+
+def prime_graph_edges(flags: StructureFlags) -> list[tuple[int, int]]:
+    """The prime graph of G as sorted index pairs (i, j), i < j, into
+    `flags.primes`: p_i ~ p_j iff p_i p_j divides some element order.  By
+    Cauchy every prime of |G| is an element order, so `flags.primes` are
+    exactly the primes of the element orders.  EPPO ⟺ no edges."""
+    ps = flags.primes
+    return [(i, j) for i, j in combinations(range(len(ps)), 2)
+            if any(o % (ps[i] * ps[j]) == 0 for o, _ in flags.order_profile)]
 
 
 def _as_flags(g: Group | StructureFlags) -> StructureFlags:

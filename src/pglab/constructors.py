@@ -123,53 +123,32 @@ def dihedral(n: int, cap: int | None = None) -> Group:
     """Symmetries of a regular n-gon, order 2n (n >= 3): permutations of n points."""
     if n < 3:
         raise ValueError(f"dihedral needs n >= 3 polygon vertices, got {n}")
-    label = f"D{n}"
-    _check_cap(2 * n, cap, label)
     rotation = tuple((i + 1) % n for i in range(n))
     reflection = tuple((n - i) % n for i in range(n))
-    g = close_generators([rotation, reflection], compose_permutations,
-                         identity_permutation(n), cap=cap, label=label,
-                         render_payload=render_permutation)
-    assert g.order == 2 * n
-    return g
+    return _closure(f"D{n}", 2 * n, [rotation, reflection], compose_permutations,
+                    identity_permutation(n), render_permutation, cap)
 
 
 def symmetric(n: int, cap: int | None = None) -> Group:
     if not 1 <= n <= 7:
         raise ValueError(f"symmetric group supported for 1 <= n <= 7, got {n}")
-    order = factorial(n)
-    label = f"S{n}"
-    _check_cap(order, cap, label)
-    if n == 1:
-        return Group((identity_permutation(1),), compose_permutations, label,
-                     render_permutation)
-    gens = [permutation_from_cycles(n, [(1, 2)]),
-            permutation_from_cycles(n, [tuple(range(1, n + 1))])]
-    g = close_generators(gens, compose_permutations, identity_permutation(n),
-                         cap=cap, label=label, render_payload=render_permutation)
-    assert g.order == order
-    return g
+    gens = [] if n == 1 else [permutation_from_cycles(n, [(1, 2)]),
+                              permutation_from_cycles(n, [tuple(range(1, n + 1))])]
+    return _closure(f"S{n}", factorial(n), gens, compose_permutations,
+                    identity_permutation(n), render_permutation, cap)
 
 
 def alternating(n: int, cap: int | None = None) -> Group:
     if not 1 <= n <= 7:
         raise ValueError(f"alternating group supported for 1 <= n <= 7, got {n}")
-    order = max(1, factorial(n) // 2)
-    label = f"A{n}"
-    _check_cap(order, cap, label)
-    if n <= 2:
-        return Group((identity_permutation(max(n, 1)),), compose_permutations,
-                     label, render_permutation)
-    gens = [permutation_from_cycles(n, [(1, 2, 3)])]
+    gens = [permutation_from_cycles(n, [(1, 2, 3)])] if n >= 3 else []
     if n > 3:
         if n % 2 == 1:
             gens.append(permutation_from_cycles(n, [tuple(range(1, n + 1))]))
         else:
             gens.append(permutation_from_cycles(n, [tuple(range(2, n + 1))]))
-    g = close_generators(gens, compose_permutations, identity_permutation(n),
-                         cap=cap, label=label, render_payload=render_permutation)
-    assert g.order == order
-    return g
+    return _closure(f"A{n}", max(1, factorial(n) // 2), gens, compose_permutations,
+                    identity_permutation(n), render_permutation, cap)
 
 
 def generalized_quaternion(order: int, cap: int | None = None) -> Group:
@@ -291,13 +270,9 @@ def construct_sl2(q: int, cap: int | None = None) -> Group:
     """SL(2, q): closure of the elementary transvections and a torus element."""
     order = q * (q * q - 1)
     label = f"SL(2,{q})"
-    _check_cap(order, cap, label)
+    _check_cap(order, cap, label)  # before _matrix_ops builds the field tables
     matmul, _negm, gens = _matrix_ops(q)
-    g = close_generators(gens, matmul, _IDENTITY, cap=cap, label=label,
-                         render_payload=_render_matrix)
-    if g.order != order:
-        raise RuntimeError(f"{label} closure has order {g.order}, expected {order}")
-    return g
+    return _closure(label, order, gens, matmul, _IDENTITY, _render_matrix, cap)
 
 
 def construct_psl2(q: int, cap: int | None = None) -> Group:
@@ -308,7 +283,7 @@ def construct_psl2(q: int, cap: int | None = None) -> Group:
     """
     order = q * (q * q - 1) // gcd(2, q - 1)
     label = f"PSL(2,{q})"
-    _check_cap(order, cap, label)
+    _check_cap(order, cap, label)  # before _matrix_ops builds the field tables
     matmul, negm, gens = _matrix_ops(q)
 
     def canon(m: Matrix) -> Matrix:
@@ -318,11 +293,8 @@ def construct_psl2(q: int, cap: int | None = None) -> Group:
     def mul(a: Matrix, b: Matrix) -> Matrix:
         return canon(matmul(a, b))
 
-    g = close_generators([canon(m) for m in gens], mul, _IDENTITY, cap=cap,
-                         label=label, render_payload=_render_matrix)
-    if g.order != order:
-        raise RuntimeError(f"{label} closure has order {g.order}, expected {order}")
-    return g
+    return _closure(label, order, [canon(m) for m in gens], mul, _IDENTITY,
+                    _render_matrix, cap)
 
 
 # Family name -> (spec text, constructor).  Each `{}` in the text is one integer
@@ -373,6 +345,17 @@ def build_group(spec: GroupSpec | str, cap: int | None = None) -> Group:
 
 def _render_pair(pair: tuple[int, int]) -> str:
     return f"({pair[0]},{pair[1]})"
+
+
+def _closure(label: str, order: int, gens: list, compose, identity, render,
+             cap: int | None) -> Group:
+    """Close `gens` under `compose` within the cap, and check the order."""
+    _check_cap(order, cap, label)
+    g = close_generators(gens, compose, identity, cap=cap, label=label,
+                         render_payload=render)
+    if g.order != order:
+        raise RuntimeError(f"{label} closure has order {g.order}, expected {order}")
+    return g
 
 
 def _check_cap(order: int, cap: int | None, label: str) -> None:

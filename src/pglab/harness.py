@@ -27,12 +27,13 @@ from .classifiers import (
     StructureFlags,
     THEOREM_IDS,
     compute_structure_flags,
-    factorize,
+    prime_graph_edges,
     rhs_predicate,
 )
 from .constructors import (
     AtomSpec,
     GroupSpec,
+    GroupSpecError,
     ProductSpec,
     build_group,
     direct_product,
@@ -52,7 +53,6 @@ from .power_graph import (
     Graph,
     TwinReducedGraph,
     build_power_graph,
-    build_prime_graph,
     twin_reduce,
     with_identity,
 )
@@ -116,10 +116,13 @@ def load_corpus(path: str) -> Corpus:
     from the file's own entries; no Suzuki parameters are implied."""
     entries: list[CorpusEntry] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             text = line.split("#", 1)[0].strip()
             if text:
-                entries.append(_entry(text))
+                try:
+                    entries.append(_entry(text))
+                except GroupSpecError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return Corpus(tuple(entries), tuple(entries), ())
 
 
@@ -200,6 +203,8 @@ class Harness:
 
     def __init__(self, corpus: Corpus | None = None, cap: int | None = None,
                  min_hole_len: int = 4):
+        if min_hole_len < 3:
+            raise ValueError(f"minimum hole length must be at least 3, got {min_hole_len}")
         self.corpus = corpus if corpus is not None else default_corpus()
         self.cap = cap
         self.min_hole_len = min_hole_len
@@ -276,13 +281,9 @@ class Harness:
 @dataclass(frozen=True)
 class AnalysisReport:
     label: str
-    order: int
-    factorization: tuple[tuple[int, int], ...]
     flags: StructureFlags
     proper: bool
-    prime_graph_primes: tuple[int, ...]
-    prime_graph_edges: tuple[tuple[int, int], ...]
-    prime_graph_null: bool
+    prime_graph_edges: tuple[tuple[int, int], ...]  # index pairs into flags.primes
     patterns: dict[str, Witness | None]
     cograph: bool
     chordal: bool
@@ -292,8 +293,8 @@ class AnalysisReport:
     def to_dict(self) -> dict:
         return {
             "group": self.label,
-            "order": self.order,
-            "factorization": [list(pe) for pe in self.factorization],
+            "order": self.flags.order,
+            "factorization": [list(pe) for pe in self.flags.factorization],
             "flags": {
                 "is_p_group": self.flags.is_p_group,
                 "is_cyclic": self.flags.is_cyclic,
@@ -309,9 +310,9 @@ class AnalysisReport:
             },
             "proper": self.proper,
             "prime_graph": {
-                "primes": list(self.prime_graph_primes),
+                "primes": list(self.flags.primes),
                 "edges": [list(e) for e in self.prime_graph_edges],
-                "null": self.prime_graph_null,
+                "null": not self.prime_graph_edges,
             },
             "patterns": {name: list(w.labels) if w is not None else None
                          for name, w in self.patterns.items()},
@@ -356,23 +357,17 @@ def analyze_group(spec_text: str, proper: bool = False,
             raise ValueError(f"unknown pattern {name!r}; "
                              f"available: {', '.join(PATTERNS)}")
     bundle = GroupBundle(spec, cap)
-    group = bundle.group
     # Built first: its cyclic-subgroup walk fills the element orders that the
-    # flags and the prime graph read.
+    # flags read.
     red = bundle.reduction(True)
-    identity = group.render(0)
+    identity = bundle.group.render(0)
     found = {name: _find(red, name, proper, identity)
              for name in dict.fromkeys(names + ["P4", "C3", "C5", "2K2"])}
-    prime_graph = build_prime_graph(group)
     return AnalysisReport(
         label=bundle.label,
-        order=group.order,
-        factorization=tuple(factorize(group.order)),
         flags=bundle.flags,
         proper=proper,
-        prime_graph_primes=prime_graph.primes,
-        prime_graph_edges=tuple(prime_graph.graph.edges()),
-        prime_graph_null=prime_graph.is_null,
+        prime_graph_edges=tuple(prime_graph_edges(bundle.flags)),
         patterns={name: found[name] for name in names},
         cograph=found["P4"] is None,
         chordal=_mcs_is_chordal(red.graph),

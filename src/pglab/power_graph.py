@@ -33,7 +33,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from itertools import pairwise
 
-from .classifiers import factorize
 from .group_kernel import Group
 
 # Members kept per twin class: the largest m(H) in the pattern catalog (C3).
@@ -185,32 +184,6 @@ def twin_reduce(graph: Graph) -> TwinReducedGraph:
         graph=graph if len(retained) == graph.n else graph.induced(retained),
         rank_masks=rank_masks,
     )
-
-
-@dataclass
-class PrimeGraph:
-    """Graph on the prime divisors of |G|; p ~ q iff some element has order pq."""
-
-    primes: tuple[int, ...]
-    graph: Graph
-
-    @property
-    def is_null(self) -> bool:
-        return all(row == 0 for row in self.graph.adj)
-
-
-def build_prime_graph(group: Group) -> PrimeGraph:
-    orders = set(group.element_orders())
-    divisors = {o: [p for p, _ in factorize(o)] for o in orders}
-    primes = sorted({p for divs in divisors.values() for p in divs})
-    pos = {p: i for i, p in enumerate(primes)}
-    adj = [0] * len(primes)
-    for divs in divisors.values():
-        for i, p in enumerate(divs):
-            for q in divs[i + 1:]:
-                adj[pos[p]] |= 1 << pos[q]
-                adj[pos[q]] |= 1 << pos[p]
-    return PrimeGraph(tuple(primes), Graph(adj, [str(p) for p in primes]))
 
 
 def export_graph(graph: Graph, fmt: str) -> str:

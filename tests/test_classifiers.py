@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from pglab import (
     is_admissible_cyclic_order,
     is_prime,
     is_prime_power,
+    prime_graph_edges,
     psl2_side_numbers,
     rhs_predicate,
     sz_side_numbers,
@@ -23,8 +25,9 @@ from pglab.classifiers import (
     rhs_symmetric,
     rhs_sz,
 )
-from naive_oracle import (chain_third_family, element_order_profile, naive_is_nilpotent,
-                          naive_normal_sylow)
+from pglab.harness import DEFAULT_CORPUS_SPECS
+from naive_oracle import (chain_third_family, element_order_profile, naive_element_order,
+                          naive_is_nilpotent, naive_normal_sylow)
 
 # -- elementary number theory -----------------------------------------------------
 
@@ -102,11 +105,21 @@ def test_flags_cyclic_iff_element_of_full_order():
 
 
 def test_flags_eppo_and_prime_graph_agree():
-    from pglab import build_prime_graph
-
-    for spec in ("A5", "A4", "SD(7,3,2)", "C6", "C12", "Q16", "S4", "C30"):
+    """The prime graph against element orders found by repeated composition,
+    over the whole default corpus; EPPO ⟺ null prime graph."""
+    for spec in DEFAULT_CORPUS_SPECS:
         g = build_group(spec)
-        assert compute_structure_flags(g).is_eppo == build_prime_graph(g).is_null
+        flags = compute_structure_flags(g)
+        orders = {naive_element_order(g, v) for v in range(g.order)}
+        primes = tuple(p for p in range(2, g.order + 1) if g.order % p == 0 and is_prime(p))
+        assert flags.primes == primes, spec
+        # Cauchy: every prime of |G| divides some element order.
+        assert all(any(o % p == 0 for o in orders) for p in primes), spec
+        joined = [(i, j) for i, j in itertools.combinations(range(len(primes)), 2)
+                  if any(o % (primes[i] * primes[j]) == 0 for o in orders)]
+        edges = prime_graph_edges(flags)
+        assert edges == joined, spec
+        assert flags.is_eppo == (not edges), spec
 
 
 def test_flags_exponent2():

@@ -157,6 +157,12 @@ def test_verify_min_hole_length_flag(tmp_path, capsys):
     assert doc["theorem"] == "T-EVENHOLE-DIAMOND"
 
 
+@pytest.mark.parametrize("length", ["2", "0", "-5"])
+def test_verify_min_hole_length_below_three_is_rejected(length, capsys):
+    assert main(["verify", "all", "--min-hole-length", length]) == 2
+    assert "minimum hole length must be at least 3" in capsys.readouterr().err
+
+
 # -- corpus / numbers ----------------------------------------------------------------
 
 

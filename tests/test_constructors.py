@@ -10,12 +10,14 @@ from pglab.constructors import (
     AtomSpec,
     GroupSpecError,
     ProductSpec,
+    _closure,
     construct_psl2,
     construct_sl2,
     parse_group_spec,
     spec_label,
 )
-from pglab.group_kernel import CapExceededError
+from pglab.group_kernel import (CapExceededError, compose_permutations,
+                                identity_permutation, render_permutation)
 from naive_oracle import element_order_profile
 
 # -- spec parsing ----------------------------------------------------------------
@@ -210,6 +212,13 @@ def test_constructor_rejections():
         build_group("PSL(2,6)")  # 6 is not a prime power
     with pytest.raises(CapExceededError):
         build_group("C2xC2xC2xC2xC2xC2xC2xC2xC2xC2xC2xC2xC2xC2")  # 2^14
+
+
+def test_closure_of_the_wrong_order_raises():
+    """The order check is a raise, not an assert, so it holds under python -O."""
+    with pytest.raises(RuntimeError, match=r"S2 closure has order 1, expected 2"):
+        _closure("S2", 2, [], compose_permutations, identity_permutation(2),
+                 render_permutation, None)
 
 
 def test_identity_render():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -59,6 +60,13 @@ def test_load_corpus(tmp_path):
     assert [e.label for e in corpus.entries] == ["C6", "S3", "Q8"]
     assert corpus.product_entries == corpus.entries
     assert corpus.sz_params == ()
+
+
+def test_load_corpus_parse_error_names_the_line(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text("C6\nX9\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: unrecognized group family 'X'"):
+        load_corpus(str(path))
 
 
 def test_corpus_entry_family():

@@ -8,9 +8,10 @@ from pglab import (
     Graph,
     build_group,
     build_power_graph,
-    build_prime_graph,
+    compute_structure_flags,
     export_graph,
     find_induced_pattern,
+    prime_graph_edges,
     twin_reduce,
 )
 from pglab.harness import DEFAULT_CORPUS_SPECS, analyze_group
@@ -287,26 +288,31 @@ def test_twin_reduction_preserves_pattern_presence(spec, pattern):
 # -- prime graphs ------------------------------------------------------------------
 
 
+def _prime_graph(spec):
+    flags = compute_structure_flags(build_group(spec))
+    return flags.primes, prime_graph_edges(flags)
+
+
 def test_prime_graph_c30():
-    pg = build_prime_graph(build_group("C30"))
-    assert pg.primes == (2, 3, 5)
-    assert pg.graph.edges() == [(0, 1), (0, 2), (1, 2)]
-    assert not pg.is_null
+    primes, edges = _prime_graph("C30")
+    assert primes == (2, 3, 5)
+    assert edges == [(0, 1), (0, 2), (1, 2)]
+    assert edges
 
 
 def test_prime_graph_null_cases():
-    assert build_prime_graph(build_group("A5")).is_null
-    assert build_prime_graph(build_group("SD(7,3,2)")).is_null
-    assert build_prime_graph(build_group("Q16")).is_null
-    a4 = build_prime_graph(build_group("A4"))
-    assert a4.primes == (2, 3)
-    assert a4.is_null
+    assert not _prime_graph("A5")[1]
+    assert not _prime_graph("SD(7,3,2)")[1]
+    assert not _prime_graph("Q16")[1]
+    primes, edges = _prime_graph("A4")
+    assert primes == (2, 3)
+    assert not edges
 
 
 def test_prime_graph_c12():
-    pg = build_prime_graph(build_group("C12"))
-    assert pg.primes == (2, 3)
-    assert pg.graph.edges() == [(0, 1)]
+    primes, edges = _prime_graph("C12")
+    assert primes == (2, 3)
+    assert edges == [(0, 1)]
 
 
 # -- export -----------------------------------------------------------------------
