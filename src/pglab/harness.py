@@ -127,15 +127,18 @@ def load_corpus(path: str) -> Corpus:
 
 
 class GroupBundle:
-    """Per-group lazy cache: group, flags, and the twin reduction of P*(G),
-    the one graph that is searched (its `original` is P*(G) itself).  A
-    product of corpus groups is given its group, built from theirs."""
+    """Per-group lazy cache: group, P*(G), flags, and the twin reduction of
+    P*(G), the one graph that is searched (its `original` is P*(G) itself).
+    P*(G) is built before the flags: its one walk over the cyclic subgroups
+    fills the element orders that the flags read, so no group is walked
+    twice.  A product of corpus groups is given its group, built from theirs."""
 
     def __init__(self, spec: GroupSpec, cap: int | None, group: Group | None = None):
         self.spec = spec
         self.cap = cap
         self.label = spec_label(spec)
         self._group = group
+        self._graph: Graph | None = None
         self._flags: StructureFlags | None = None
         self._reduction: TwinReducedGraph | None = None
 
@@ -146,8 +149,16 @@ class GroupBundle:
         return self._group
 
     @property
+    def graph(self) -> Graph:
+        """P*(G), as its quotient on the cyclic subgroups."""
+        if self._graph is None:
+            self._graph = build_power_graph(self.group, proper=True)
+        return self._graph
+
+    @property
     def flags(self) -> StructureFlags:
         if self._flags is None:
+            self.graph  # built first: its walk fills the element orders
             self._flags = compute_structure_flags(self.group)
         return self._flags
 
@@ -155,7 +166,7 @@ class GroupBundle:
         if not proper:
             raise ValueError("only P*(G) is reduced; P(G) is answered from it")
         if self._reduction is None:
-            self._reduction = twin_reduce(build_power_graph(self.group, proper=True))
+            self._reduction = twin_reduce(self.graph)
         return self._reduction
 
 
@@ -223,8 +234,6 @@ class Harness:
         start = time.monotonic()
         records = []
         for label, bundle, rhs_args in self._subjects(case):
-            # The graph side first: building P*(G) walks the cyclic subgroups,
-            # which fills the element orders that the flags read.
             side, witness = ((None, None) if bundle is None
                              else self._graph_side(bundle, case))
             rhs = rhs_predicate(theorem_id, *rhs_args())
@@ -357,8 +366,6 @@ def analyze_group(spec_text: str, proper: bool = False,
             raise ValueError(f"unknown pattern {name!r}; "
                              f"available: {', '.join(PATTERNS)}")
     bundle = GroupBundle(spec, cap)
-    # Built first: its cyclic-subgroup walk fills the element orders that the
-    # flags read.
     red = bundle.reduction(True)
     identity = bundle.group.render(0)
     found = {name: _find(red, name, proper, identity)

@@ -118,7 +118,8 @@ def find_induced_pattern(g: Graph | TwinReducedGraph,
 
     Deterministic backtracking on the twin-reduced graph: pattern vertices are
     tried in decreasing-degree order, graph candidates in ascending id order,
-    among the first m(H) members of each twin class.  At a step with a
+    among the first m(H) members of each twin class, and among those of at
+    least the pattern vertex's degree (`degree_at_least`).  At a step with a
     look-ahead step j, candidates must also lie within distance two of x_j
     through a searched vertex; the cut skips only candidates that no copy
     extends, so the first copy found is the one found without it.
@@ -135,7 +136,9 @@ def find_induced_pattern(g: Graph | TwinReducedGraph,
 
     order = pattern.order
     full = red.rank_masks[pattern.max_twins]
-    degs = [s.degree(v) for v in range(s.n)]
+    # fits[k]: the searched vertices with at least step k's pattern degree.
+    fits = [full & red.degree_at_least(pattern.degrees[pv]) for pv in order]
+    adj = s.adj
     assignment = [-1] * pattern.size  # pattern vertex -> search-graph vertex
     # reach[k]: (x_j, N(N(x_j) & full)) for step k's look-ahead step j.
     reach = [(-1, 0)] * pattern.size
@@ -144,29 +147,26 @@ def find_induced_pattern(g: Graph | TwinReducedGraph,
         if step == len(order):
             return True
         pv = order[step]
-        cand = full & ~used
+        cand = fits[step] & ~used
         for prev in order[:step]:
             gv = assignment[prev]
             if pattern.adj_masks[prev] >> pv & 1:
-                cand &= s.adj[gv]
+                cand &= adj[gv]
             else:
-                cand &= ~s.adj[gv]
+                cand &= ~adj[gv]
         j = pattern.lookahead[step]
         if j is not None and cand:
             xj = assignment[order[j]]
             if reach[step][0] != xj:
                 two = 0
-                for y in _bits(s.adj[xj] & full):
-                    two |= s.adj[y]
+                for y in _bits(adj[xj] & full):
+                    two |= adj[y]
                 reach[step] = (xj, two)
             cand &= reach[step][1]
-        need = pattern.degrees[pv]
         while cand:
             low = cand & -cand
             v = low.bit_length() - 1
             cand ^= low
-            if degs[v] < need:
-                continue
             assignment[pv] = v
             if backtrack(step + 1, used | low):
                 return True

@@ -1,29 +1,39 @@
 """Undirected graphs on group elements, stored as Python-int bitsets.
 
-`build_power_graph` joins u ~ v whenever one lies in the cyclic subgroup
-generated by the other.  It walks each cyclic subgroup C once
-(`Group.cyclic_subgroups`) and joins every generator of C to every member of
-C, so the cost follows the sum of |C| over the distinct cyclic subgroups
-rather than the sum of the element orders.  The proper power graph P*(G)
-drops the identity (vertex i of P*(G) is group element i+1); P(G) is P*(G)
-plus the identity, adjacent to every other vertex (`with_identity`).
+A `Graph` is kept as a clique quotient (see `Graph`).  Its vertex rows
+`adj` are built when first read, so a graph that is only reduced and
+searched never holds them; `has_edge` and `label` answer without them.
 
-A graph renders vertex labels on demand (`Graph.label`): a power graph
-holds its group's `render`, not a rendered label per element, so only the
-vertices a report names, or an export, are ever rendered.
+`build_power_graph` joins u ~ v whenever one lies in the cyclic subgroup
+generated by the other, that is, whenever <u> and <v> are comparable under
+inclusion.  So P*(G) is the comparability graph of the nontrivial cyclic
+subgroups, each subgroup C blown up into a clique of its phi(|C|)
+generators: one block per subgroup.  It walks each cyclic subgroup once
+(`Group.cyclic_subgroups`), and C's quotient row holds the subgroups <u^d>
+for the proper divisors d of |C|, plus the transpose.  The proper power
+graph P*(G) drops the identity (vertex i of P*(G) is group element i+1);
+P(G) is P*(G) plus the identity, a block adjacent to every other
+(`with_identity`).  Labels are rendered on demand (`Graph.label`), so only
+the vertices a report names, or an export, are ever rendered.
 
 `twin_reduce` shrinks a graph by interchangeability classes (vertices with
 identical closed neighborhoods — adjacent twins — or identical open
 neighborhoods — non-adjacent twins), keeping the `RETAIN` smallest ids of
-each class.  It finds the classes by sorting the vertices by row, once by
-closed and once by open neighborhood, rather than by hashing rows: CPython
-hashes an int modulo 2^61 - 1, so sparse rows such as `1 << v` share a few
-dozen hash values and a row-keyed dict degrades to long collision chains.
-An induced copy of a pattern H meets a class in at most m(H) vertices, the
-size of H's own largest twin class, so a search for H needs only the first
-m(H) members of each class; `TwinReducedGraph.rank_masks` marks them.
-Witnesses translate straight back because representatives are original
-vertex ids.
+each class.  It works on the quotient.  Two vertices of different blocks are
+closed twins exactly when their blocks are, so a closed class is the union
+of the blocks of one closed-twin run of the quotient.  A vertex of a block
+with two or more members has no open twin: its open neighbourhood holds its
+block-mates but not itself, and any other vertex's holds either all of the
+block or none of it.  So an open class is the one-member blocks of one
+open-twin run of the quotient.  Runs are found by sorting the quotient
+vertices by row, once by closed and once by open neighborhood, rather than
+by hashing rows: CPython hashes an int modulo 2^61 - 1, so sparse rows such
+as `1 << v` share a few dozen hash values and a row-keyed dict degrades to
+long collision chains.  An induced copy of a pattern H meets a class in at
+most m(H) vertices, the size of H's own largest twin class, so a search for
+H needs only the first m(H) members of each class;
+`TwinReducedGraph.rank_masks` marks them.  Witnesses translate straight back
+because representatives are original vertex ids.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import pairwise
 
 from .group_kernel import Group
@@ -47,17 +58,37 @@ def _bits(mask: int):
         mask ^= low
 
 
-class Graph:
-    """Immutable-by-convention undirected graph; adj[v] is a bitmask.
+def _mask(flags: list[bool]) -> int:
+    """The bitmask with bit i set for each true flags[i]."""
+    return int("".join("01"[f] for f in reversed(flags)) or "0", 2)
 
-    `labels` is either the list of vertex labels or a function that renders
-    the label of vertex v on demand; by default vertex v is labelled str(v).
+
+class Graph:
+    """Immutable-by-convention undirected graph, stored as a clique quotient.
+
+    `blocks` partition the vertices into cliques, ascending by least member,
+    whose members share one closed neighbourhood; `adjacency[b]` is the
+    bitmask of the blocks joined to block b, every member to every member.
+    Without `blocks` every vertex is a block of its own, so `adjacency[v]` is
+    the bitmask of v's neighbours.  `labels` is either the list of vertex
+    labels or a function that renders the label of vertex v on demand; by
+    default vertex v is labelled str(v).
     """
 
     def __init__(self, adjacency: list[int],
-                 labels: Sequence[str] | Callable[[int], str] = str) -> None:
-        self.adj: list[int] = adjacency
-        self.n: int = len(adjacency)
+                 labels: Sequence[str] | Callable[[int], str] = str,
+                 blocks: list[list[int]] | None = None) -> None:
+        self.quotient: list[int] = adjacency
+        self._blocks = blocks
+        if blocks is None:
+            self.adj = adjacency
+            self.block_of: Sequence[int] = range(len(adjacency))
+        else:
+            self.block_of = [0] * sum(map(len, blocks))
+            for b, members in enumerate(blocks):
+                for v in members:
+                    self.block_of[v] = b
+        self.n: int = len(self.block_of)
         if not callable(labels):
             if len(labels) != self.n:
                 raise ValueError("label count does not match vertex count")
@@ -65,12 +96,36 @@ class Graph:
         self.label: Callable[[int], str] = labels
 
     @property
+    def blocks(self) -> list[list[int]]:
+        """The blocks of the quotient; without given blocks, every vertex."""
+        if self._blocks is None:
+            return [[v] for v in range(self.n)]
+        return self._blocks
+
+    @cached_property
+    def adj(self) -> list[int]:
+        """adj[v]: the bitmask of v's neighbours, built on first read."""
+        return self._vertex_rows()
+
+    def _vertex_rows(self) -> list[int]:
+        masks = [sum(1 << v for v in members) for members in self._blocks]
+        rows = [0] * self.n
+        for b, members in enumerate(self._blocks):
+            closed = masks[b]
+            for d in _bits(self.quotient[b]):
+                closed |= masks[d]
+            for v in members:
+                rows[v] = closed ^ 1 << v
+        return rows
+
+    @property
     def labels(self) -> list[str]:
         """Every vertex label, rendered now."""
         return [self.label(v) for v in range(self.n)]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
+        bu, bv = self.block_of[u], self.block_of[v]
+        return u != v and (bu == bv or bool(self.quotient[bu] >> bv & 1))
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -80,54 +135,45 @@ class Graph:
         return [(u, u + 1 + d) for u in range(self.n)
                 for d in _bits(self.adj[u] >> u + 1)]
 
-    def induced(self, vertices: list[int]) -> "Graph":
-        """Induced subgraph; vertex k of the result is vertices[k]."""
-        pos = {v: k for k, v in enumerate(vertices)}
-        keep_mask = 0
-        for v in vertices:
-            keep_mask |= 1 << v
-        adj = [0] * len(vertices)
-        for k, v in enumerate(vertices):
-            mask = self.adj[v] & keep_mask
-            while mask:
-                low = mask & -mask
-                adj[k] |= 1 << pos[low.bit_length() - 1]
-                mask ^= low
-        return Graph(adj, lambda k: self.label(vertices[k]))
-
 
 def build_power_graph(group: Group, proper: bool = False) -> Graph:
     """Undirected power graph of a group: u ~ v iff u in <v> or v in <u>.
 
-    Vertices follow the group's element numbering; a vertex's label is its
-    element, rendered when asked for.  With proper=True vertex 0 (the
-    identity) is dropped and the remaining vertices shift down by one.
+    Vertices follow the group's element numbering, one block per nontrivial
+    cyclic subgroup, holding its generators; a vertex's label is its element,
+    rendered when asked for.  With proper=True vertex 0 (the identity) is
+    dropped and the remaining vertices shift down by one.
     """
-    n = group.order
-    adj = [0] * n
-    # u ~ v iff one generates a cyclic subgroup that contains the other.
+    sub_of = [0] * group.order  # element -> block of the subgroup it generates
+    blocks: list[list[int]] = []
+    below: list[list[int]] = []  # per block: generators of its proper subgroups
     for generators, members in group.cyclic_subgroups():
-        member_bits = 0
-        for x in members:
-            member_bits |= 1 << x
-        generator_bits = 0
+        o = len(members)
+        if o == 1:
+            continue  # the trivial subgroup, which holds only the identity
         for g in generators:
-            adj[g] |= member_bits
-            generator_bits |= 1 << g
-        for x in members:
-            adj[x] |= generator_bits
-    # v generates <v> and lies in it, so bit v is set in row v: drop it, and
-    # drop bit 0, the identity, which every row holds.
-    star = Graph([(adj[v] ^ 1 << v) >> 1 for v in range(1, n)],
-                 lambda v: group.render(v + 1))
+            sub_of[g] = len(blocks)
+        blocks.append(sorted(g - 1 for g in generators))
+        # members[d - 1] = u^d generates the subgroup of <u> of order o / d.
+        below.append([members[d - 1] for d in range(2, o) if o % d == 0])
+    quotient = [0] * len(blocks)
+    for c, powers in enumerate(below):
+        down = 0
+        for x in powers:
+            down |= 1 << sub_of[x]
+        quotient[c] |= down
+        for d in _bits(down):
+            quotient[d] |= 1 << c
+    star = Graph(quotient, lambda v: group.render(v + 1), blocks)
     return star if proper else with_identity(star, group.render(0))
 
 
 def with_identity(star: Graph, label: str) -> Graph:
-    """P(G) from P*(G): a new vertex 0, the identity, adjacent to every other
-    vertex; vertex i of P*(G) becomes vertex i+1."""
-    return Graph([(1 << star.n + 1) - 2] + [row << 1 | 1 for row in star.adj],
-                 lambda v: star.label(v - 1) if v else label)
+    """P(G) from P*(G): a new vertex 0, the identity, a block of its own
+    adjacent to every other vertex; vertex i of P*(G) becomes vertex i+1."""
+    return Graph([(1 << len(star.quotient) + 1) - 2] + [row << 1 | 1 for row in star.quotient],
+                 lambda v: star.label(v - 1) if v else label,
+                 [[0]] + [[v + 1 for v in members] for members in star.blocks])
 
 
 @dataclass
@@ -141,48 +187,86 @@ class TwinReducedGraph:
     # rank_masks[m]: search-graph vertices among the first m members of their
     # class, for m = 0..RETAIN.
     rank_masks: list[int] = field(repr=False)
+    degrees: list[int] = field(repr=False)  # degrees[i]: search-graph vertex i's degree
+    _degree_masks: dict[int, int] = field(default_factory=dict, init=False,
+                                          repr=False, compare=False)
+
+    def degree_at_least(self, k: int) -> int:
+        """The search-graph vertices of degree at least k, as a mask; each
+        mask is computed once per reduction."""
+        if k not in self._degree_masks:
+            self._degree_masks[k] = _mask([d >= k for d in self.degrees])
+        return self._degree_masks[k]
 
 
 def twin_reduce(graph: Graph) -> TwinReducedGraph:
     """Group vertices with equal closed or equal open neighborhoods.
 
-    Sorting the vertices by closed row (adj[v] | 1 << v) and, separately, by
-    open row (adj[v]) puts each class of either relation in one run of equal
-    rows, members ascending.  The two relations never chain, so these runs
-    are the classes: a vertex with a closed twin has no open twin.  For if u
-    and v are closed twins and v and w are open twins, then u is in
-    N(v) = N(w), so w is in N[u] = N[v], and w, being distinct from v, is in
-    N(v) = N(w), which no vertex is.  The `RETAIN` smallest ids of each
-    class are retained, and the search graph is the subgraph they induce in
-    the original (the original itself when every vertex is retained).
-    Every catalog pattern and induced cycles of any length survive the
-    reduction.
+    Sorting the quotient vertices by closed row (quotient[b] | 1 << b), and
+    the one-member blocks by open row (quotient[b]), puts the blocks of each
+    class in one run of equal rows, ascending (see the module docstring).
+    The two relations never chain, so these runs give the classes: a vertex
+    with a closed twin has no open twin.  For if u and v are closed twins and v and
+    w are open twins, then u is in N(v) = N(w), so w is in N[u] = N[v], and
+    w, being distinct from v, is in N(v) = N(w), which no vertex is.  The
+    `RETAIN` smallest ids of each class are retained.  The search graph is
+    the subgraph they induce: a retained vertex's row is the union of the
+    retained members of the blocks in its block's closed neighbourhood, less
+    itself.  When every vertex is retained these are the graph's own rows,
+    and the search graph is the graph itself.  Every catalog pattern and
+    induced cycles of any length survive the reduction.
     """
-    run_of: list[list[int] | None] = [None] * graph.n
-    for rows in ([row | 1 << v for v, row in enumerate(graph.adj)], graph.adj):
-        for u, v in pairwise(sorted(range(graph.n), key=rows.__getitem__)):
-            if rows[u] == rows[v]:
-                if run_of[u] is None:
-                    run_of[u] = [u]
-                run_of[u].append(v)
-                run_of[v] = run_of[u]
-    classes = [run or [v] for v, run in enumerate(run_of) if run is None or run[0] == v]
-    rank = [0] * graph.n
-    for ms in classes:
-        for r, v in enumerate(ms):
-            rank[v] = r
-    retained = sorted(v for ms in classes for v in ms[:RETAIN])
-    rank_masks = [0] * (RETAIN + 1)
+    rows, blocks = graph.quotient, graph.blocks
+    run_of: list[list[int] | None] = [None] * len(rows)
+    closed = [row | 1 << b for b, row in enumerate(rows)]
+    singles = [b for b, members in enumerate(blocks) if len(members) == 1]
+    for keys, vertices in ((closed, range(len(rows))), (rows, singles)):
+        for a, b in pairwise(sorted(vertices, key=keys.__getitem__)):
+            if keys[a] == keys[b]:
+                if run_of[a] is None:
+                    run_of[a] = [a]
+                run_of[a].append(b)
+                run_of[b] = run_of[a]
+    # Blocks ascend by least member, so classes taken in the order of their
+    # least block ascend by least member too.
+    classes = [blocks[b] if run is None else sorted(v for c in run for v in blocks[c])
+               for b, run in enumerate(run_of) if run is None or run[0] == b]
+    rank = {v: r for ms in classes for r, v in enumerate(ms[:RETAIN])}
+    retained = sorted(rank)
+    rank_masks = [_mask([rank[v] < m for v in retained]) for m in range(RETAIN + 1)]
+    own = [0] * len(rows)  # own[b]: the search-graph vertices in block b
+    sizes = [0] * len(rows)  # sizes[b]: how many there are
     for i, v in enumerate(retained):
-        rank_masks[rank[v] + 1] |= 1 << i
-    for m in range(1, RETAIN + 1):
-        rank_masks[m] |= rank_masks[m - 1]
+        b = graph.block_of[v]
+        own[b] |= 1 << i
+        sizes[b] += 1
+    # reach[b]: the search-graph vertices in b's closed neighbourhood, and
+    # their number less one, the degree of each of b's own.
+    reach: list[tuple[int, int] | None] = [None] * len(rows)
+    search_rows, degrees = [], []
+    for i, v in enumerate(retained):
+        b = graph.block_of[v]
+        if reach[b] is None:
+            mask, size = own[b], sizes[b]
+            for d in _bits(rows[b]):
+                mask |= own[d]
+                size += sizes[d]
+            reach[b] = mask, size - 1
+        mask, degree = reach[b]
+        search_rows.append(mask ^ 1 << i)
+        degrees.append(degree)
+    if len(retained) == graph.n:
+        vars(graph).setdefault("adj", search_rows)  # its own rows: keep them
+        search = graph
+    else:
+        search = Graph(search_rows, lambda k: graph.label(retained[k]))
     return TwinReducedGraph(
         original=graph,
         classes=classes,
         retained=retained,
-        graph=graph if len(retained) == graph.n else graph.induced(retained),
+        graph=search,
         rank_masks=rank_masks,
+        degrees=degrees,
     )
 
 

@@ -17,7 +17,7 @@ them.  Those wrap the package's own searches.
 import math
 from collections import Counter
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, pairwise, permutations
 
 from hypothesis import strategies as st
 
@@ -25,6 +25,7 @@ from pglab import (PATTERNS, Graph, TwinReducedGraph, Witness, find_hole,
                    find_induced_pattern, twin_reduce, verify_witness)
 from pglab.group_kernel import CapExceededError
 from pglab.patterns import _as_reduction, _mcs_is_chordal
+from pglab.power_graph import RETAIN
 
 # -- power graph adjacency oracle ---------------------------------------------
 
@@ -115,6 +116,35 @@ def naive_twin_classes(graph):
             class_of[u] = len(classes)
         classes.append(sorted(members))
     return classes
+
+
+def reference_twin_reduce(graph):
+    """Twin reduction on the vertex rows, as the package did it before it
+    reduced the clique quotient: sort every vertex by closed row and by open
+    row, take each run of equal rows as a class, keep the `RETAIN` smallest
+    ids of each, and induce the search graph on them."""
+    run_of = [None] * graph.n
+    for rows in ([row | 1 << v for v, row in enumerate(graph.adj)], graph.adj):
+        for u, v in pairwise(sorted(range(graph.n), key=rows.__getitem__)):
+            if rows[u] == rows[v]:
+                if run_of[u] is None:
+                    run_of[u] = [u]
+                run_of[u].append(v)
+                run_of[v] = run_of[u]
+    classes = [run or [v] for v, run in enumerate(run_of) if run is None or run[0] == v]
+    rank = [0] * graph.n
+    for ms in classes:
+        for r, v in enumerate(ms):
+            rank[v] = r
+    retained = sorted(v for ms in classes for v in ms[:RETAIN])
+    rank_masks = [0] * (RETAIN + 1)
+    for i, v in enumerate(retained):
+        rank_masks[rank[v] + 1] |= 1 << i
+    for m in range(1, RETAIN + 1):
+        rank_masks[m] |= rank_masks[m - 1]
+    search = induced(graph, retained)
+    return TwinReducedGraph(graph, classes, retained, search, rank_masks,
+                            [row.bit_count() for row in search.adj])
 
 
 # -- naive induced-pattern search ----------------------------------------------
@@ -469,6 +499,20 @@ def naive_field_product(spec, a, b):
 def neighbors(graph, v):
     """Ascending neighbour ids of v."""
     return [u for u in range(graph.n) if graph.adj[v] >> u & 1]
+
+
+def induced(graph, vertices):
+    """Induced subgraph; vertex k of the result is vertices[k]."""
+    pos = {v: k for k, v in enumerate(vertices)}
+    keep_mask = sum(1 << v for v in vertices)
+    adj = [0] * len(vertices)
+    for k, v in enumerate(vertices):
+        mask = graph.adj[v] & keep_mask
+        while mask:
+            low = mask & -mask
+            adj[k] |= 1 << pos[low.bit_length() - 1]
+            mask ^= low
+    return Graph(adj, lambda k: graph.label(vertices[k]))
 
 
 def is_connected(graph):

@@ -318,6 +318,41 @@ def test_run_all_walks_each_group_once(monkeypatch):
                                     "C2xC2", "C2xC50", "C50xC2"])
 
 
+@pytest.mark.parametrize("theorem_id", ["T-P5-NILP", "T-CHAIN", "T-DIAMOND"])
+def test_each_case_walks_each_group_once(monkeypatch, theorem_id):
+    """T-P5-NILP reads the flags of S4 and C12 before searching C12; the
+    flags come from the walk that builds P*(G), so each group is walked once."""
+    from pglab.group_kernel import Group
+
+    walks = []
+    walk = Group.cyclic_subgroups
+    monkeypatch.setattr(Group, "cyclic_subgroups",
+                        lambda group: walks.append(group.label) or walk(group))
+    Harness(Corpus((_entry("S4"), _entry("C12")), (), ())).run_case(theorem_id)
+    assert sorted(walks) == ["C12", "S4"]
+
+
+@pytest.mark.parametrize("spec", ["E3^9", "PSL(2,31)"])
+def test_verify_path_builds_no_vertex_rows(monkeypatch, spec):
+    """P*(G) is built, reduced and searched from its cyclic-subgroup quotient;
+    the search's witness check reads edges from the quotient too."""
+    from pglab.power_graph import Graph
+
+    checked = []
+    has_edge = Graph.has_edge
+
+    def refuse(graph):
+        raise AssertionError("vertex rows were built")
+
+    monkeypatch.setattr(Graph, "_vertex_rows", refuse)
+    monkeypatch.setattr(Graph, "has_edge",
+                        lambda graph, u, v: checked.append((u, v)) or has_edge(graph, u, v))
+    report = Harness(Corpus((_entry(spec),), (), ()), cap=25200).run_case("T-CHAIN")
+    (entry,) = report.entries
+    assert entry.graph_side is False and entry.witness is not None
+    assert checked
+
+
 def test_harness_cap_applies():
     h = Harness(Corpus((_entry("C100"),), (), ()), cap=50)
     from pglab.group_kernel import CapExceededError

@@ -317,7 +317,8 @@ def _unreduced(graph):
     """Singleton classes: searches on this run over the whole graph."""
     full = (1 << graph.n) - 1
     return TwinReducedGraph(graph, [[v] for v in range(graph.n)],
-                            list(range(graph.n)), graph, [0] + [full] * RETAIN)
+                            list(range(graph.n)), graph, [0] + [full] * RETAIN,
+                            [row.bit_count() for row in graph.adj])
 
 
 def test_reduced_search_finds_the_unreduced_first_witness():

@@ -1,8 +1,10 @@
 import json
+import os
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pglab import (
     Graph,
@@ -14,18 +16,26 @@ from pglab import (
     prime_graph_edges,
     twin_reduce,
 )
-from pglab.harness import DEFAULT_CORPUS_SPECS, analyze_group
+from pglab.harness import DEFAULT_CORPUS_SPECS, PRODUCT_SUBCORPUS_SPECS, analyze_group
 from pglab.power_graph import RETAIN
 from naive_oracle import (
     complement,
+    induced,
     is_connected,
     naive_element_order,
     naive_power_graph_sets,
     naive_twin_classes,
     neighbors,
     reference_power_graph,
+    reference_twin_reduce,
     small_graphs,
 )
+
+LARGE_CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "perfbench", "large.corpus")
+with open(LARGE_CORPUS, encoding="utf-8") as _fh:
+    LARGE_SPECS = tuple(s for s in (line.split("#", 1)[0].strip() for line in _fh) if s)
+LARGE_CAP = 25200
 
 # -- construction against the naive adjacency oracle -----------------------------
 
@@ -142,14 +152,14 @@ def test_cyclic_adjacency_is_order_divisibility():
 def test_subgroup_gives_induced_subgraph():
     c12 = build_group("C12")
     big = build_power_graph(c12)
-    sub = big.induced([0, 2, 4, 6, 8, 10])  # the copy of C6 inside C12
+    sub = induced(big, [0, 2, 4, 6, 8, 10])  # the copy of C6 inside C12
     small = build_power_graph(build_group("C6"))
     assert sub.n == small.n
     assert sub.edges() == small.edges()
 
     s4 = build_group("S4")
     fix4 = [i for i in range(24) if s4.payload(i)[3] == 3]  # the copy of S3
-    sub = build_power_graph(s4).induced(fix4)
+    sub = induced(build_power_graph(s4), fix4)
     assert len(sub.edges()) == len(build_power_graph(build_group("S3")).edges())
 
 
@@ -239,6 +249,63 @@ def test_twin_reduce_on_sparse_rows_of_20000_vertices():
     matching = Graph([1 << (v ^ 1) for v in range(n)])
     red = _check_against_oracle(matching, [[v, v + 1] for v in range(0, n, 2)])
     assert red.graph is matching
+
+
+def _assert_same_reduction(red, ref):
+    assert red.classes == ref.classes
+    assert red.retained == ref.retained
+    assert red.rank_masks == ref.rank_masks
+    assert red.graph.adj == ref.graph.adj
+    assert red.degrees == ref.degrees
+
+
+@pytest.mark.parametrize("spec", sorted(set(DEFAULT_CORPUS_SPECS + PRODUCT_SUBCORPUS_SPECS
+                                            + LARGE_SPECS)))
+def test_quotient_reduction_matches_reference(spec):
+    """Reducing P*(G) on its cyclic-subgroup quotient gives, field for field,
+    the reduction of its vertex rows."""
+    graph = build_power_graph(build_group(spec, LARGE_CAP), proper=True)
+    red = twin_reduce(graph)
+    _assert_same_reduction(red, reference_twin_reduce(Graph(list(graph.adj), graph.label)))
+
+
+@st.composite
+def blown_up_graphs(draw):
+    """A random graph Q on up to 8 vertices, each vertex blown up into a
+    clique of 1 to 3 vertices whose ids are scattered at random: the graph
+    given by Q and its blocks, and the same graph given by vertex rows."""
+    q = draw(st.integers(0, 8))
+    edges = {(a, b) for a in range(q) for b in range(a + 1, q) if draw(st.booleans())}
+    weights = draw(st.lists(st.integers(1, 3), min_size=q, max_size=q))
+    ids = draw(st.permutations(range(sum(weights))))
+    blocks, at = [], 0
+    for w in weights:
+        blocks.append(sorted(ids[at:at + w]))
+        at += w
+    # Quotient vertices ascend by least member, as `Graph` requires.
+    order = sorted(range(q), key=lambda b: blocks[b][0])
+    new = {b: i for i, b in enumerate(order)}
+    quotient = [0] * q
+    for a, b in edges:
+        quotient[new[a]] |= 1 << new[b]
+        quotient[new[b]] |= 1 << new[a]
+    blocks = [blocks[b] for b in order]
+    block_of = {v: b for b, members in enumerate(blocks) for v in members}
+    n = len(block_of)
+    rows = [sum(1 << v for v in range(n) if v != u and (
+        block_of[u] == block_of[v] or quotient[block_of[u]] >> block_of[v] & 1))
+        for u in range(n)]
+    return Graph(quotient, str, blocks), Graph(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blown_up_graphs())
+def test_quotient_reduction_of_blow_ups_matches_reference(graphs):
+    blown, explicit = graphs
+    assert [blown.has_edge(u, v) for u in range(blown.n) for v in range(blown.n)] == [
+        explicit.has_edge(u, v) for u in range(blown.n) for v in range(blown.n)]
+    _assert_same_reduction(twin_reduce(blown), reference_twin_reduce(explicit))
+    assert blown.adj == explicit.adj
 
 
 @pytest.mark.parametrize("spec", DEFAULT_CORPUS_SPECS)

@@ -1,0 +1,87 @@
+"""Run the benchmark on a base commit and on the working tree, in pairs.
+
+    python3 tools/bench_pairs.py --base 900fad2 --seeds 21-30 --seconds 30 \
+        --out BENCH_quotient.json
+
+Run from the repository root.  The base commit is exported with
+``git archive`` into a temporary directory.  For every workload in
+``perfbench/workloads.py`` and every seed, one untraced run
+(``perfbench/run.py --trace 0``) of the base and one of the working tree
+run back to back, the base first on even seeds and last on odd ones, so
+slow drifts of the machine hit both sides alike.  Then one
+traced run (``--trace 1``, seed 1) per side gives the layer breakdown.  Each
+run is a fresh process.  The output is a JSON list of records
+``{commit, workload, trace, seed, result}``, where ``result`` is the last
+line ``perfbench/run.py`` prints.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("verify-default", "verify-large", "analyze-mix")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", ROOT, *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def seed_range(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def run(tree: str, commit: str, workload: str, seed: int, seconds: float,
+        trace: int) -> dict:
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True)
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    metrics = result["metrics"]
+    shown = metrics.get("wall_s", metrics.get("trace.wall_s"))["value"]
+    print(f"{commit[:7]} {workload:14s} seed {seed:3d} trace {trace} "
+          f"correct {result['correct']} wall {shown:.4f}", file=sys.stderr, flush=True)
+    return {"commit": commit, "workload": workload, "trace": trace, "seed": seed,
+            "result": result}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="commit to compare against")
+    parser.add_argument("--seeds", required=True, help="untraced seeds, e.g. 21-30")
+    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+
+    base = git("rev-parse", args.base)
+    head = git("rev-parse", "HEAD")
+    change = head + ("+" if git("status", "--porcelain", "--untracked-files=no") else "")
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", ROOT, "archive", base], check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        sides = ((tmp, base), (ROOT, change))
+        for workload in WORKLOADS:
+            for seed in seed_range(args.seeds):
+                for tree, commit in sides[::1 if seed % 2 == 0 else -1]:
+                    records.append(run(tree, commit, workload, seed, args.seconds, 0))
+        for workload in WORKLOADS:
+            for tree, commit in sides:
+                records.append(run(tree, commit, workload, 1, args.seconds, 1))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(records, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
