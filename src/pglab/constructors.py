@@ -6,9 +6,11 @@ one row of `FAMILIES`, e.g. `PSL(2,{})` or `E{}^{}`, with a non-negative
 integer in place of each `{}`; the row's constructor checks the parameters.
 
 Element payloads: permutation tuples for S/A/D, residues for C, residue pairs
-for Q/SD, coefficient vectors for E, matrices (as 2x2 tuples of field-element
-indices) for SL/PSL, and nested pairs for products.  Rendering follows the
-payload: cycle notation, plain integers, "[[a,b],[c,d]]", or "(l,r)" pairs.
+for Q/SD, one int for a vector of E with a bit slot per coordinate, flat
+4-tuples (a, b, c, d) of field-element indices for the SL/PSL matrix
+[[a,b],[c,d]], and index pairs for products.  Rendering follows the element:
+cycle notation, plain integers, "(x,y,...)" vectors, "[[a,b],[c,d]]", or
+"(l,r)" pairs.
 """
 
 from __future__ import annotations
@@ -175,6 +177,8 @@ def generalized_quaternion(order: int, cap: int | None = None) -> Group:
 
 
 def elementary_abelian(p: int, k: int, cap: int | None = None) -> Group:
+    """(Z_p)^k.  A vector is one int with a slot of w bits per coordinate,
+    coordinate j in slot j; element i has coordinate i // p^j % p in slot j."""
     if k < 1:
         raise ValueError(f"elementary abelian needs k >= 1, got {k}")
     if not is_prime(p):
@@ -182,20 +186,22 @@ def elementary_abelian(p: int, k: int, cap: int | None = None) -> Group:
     order = p ** k
     label = f"E{p}^{k}"
     _check_cap(order, cap, label)
-    elements = []
-    for idx in range(order):
-        vec = []
-        rem = idx
-        for _ in range(k):
-            vec.append(rem % p)
-            rem //= p
-        elements.append(tuple(vec))
+    # A slot holds the sum of two coordinates, at most 2p - 2, below its top bit.
+    w = (2 * p - 2).bit_length() + 1
+    ones = sum(1 << w * j for j in range(k))
+    top = ones << w - 1  # the top bit of each slot
+    bias = ones * ((1 << w - 1) - p)
+    elements = tuple(sum(i // p ** j % p << w * j for j in range(k)) for i in range(order))
 
-    def add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((x + y) % p for x, y in zip(a, b))
+    def add(a: int, b: int) -> int:
+        s = a + b
+        # A slot of s + bias reaches its top bit exactly when the slot of s
+        # is p or more; take p off those slots.
+        return s - ((s + bias & top) >> w - 1) * p
 
-    return Group(tuple(elements), add, label,
-                 lambda v: "(" + ",".join(map(str, v)) + ")")
+    slot = (1 << w) - 1
+    return Group(elements, add, label,
+                 lambda v: "(" + ",".join(str(v >> w * j & slot) for j in range(k)) + ")")
 
 
 def semidirect_cyclic(n: int, m: int, k: int, cap: int | None = None) -> Group:
@@ -224,15 +230,15 @@ def semidirect_cyclic(n: int, m: int, k: int, cap: int | None = None) -> Group:
     return Group(elements, mul, label, _render_pair)
 
 
-Matrix = tuple[tuple[int, int], tuple[int, int]]
+Matrix = tuple[int, int, int, int]  # [[a, b], [c, d]] as (a, b, c, d)
 
 
-def _matrix_ops(q: int):
-    """Return (matmul, neg_matrix, generators) over GF(q) indices.
-
-    The generators of SL(2, q) are the elementary transvections and, for
-    q > 3, the torus element diag(w, 1/w) with w the primitive element.
-    """
+def _matrix_group(label: str, order: int, q: int, projective: bool,
+                  cap: int | None) -> Group:
+    """SL(2, q), or PSL(2, q) if `projective`: the closure of the elementary
+    transvections and, for q > 3, the torus element diag(w, 1/w) with w the
+    primitive element, on flat matrices of GF(q) indices."""
+    _check_cap(order, cap, label)  # before the field tables are built
     if q < 2:
         raise ValueError(f"field size must be a prime power >= 2, got {q}")
     pk = is_prime_power(q)
@@ -241,60 +247,53 @@ def _matrix_ops(q: int):
     spec = construct_field(*pk)
     add, mul, neg, inv = index_tables(spec)
 
-    def matmul(a: Matrix, b: Matrix) -> Matrix:
-        (a00, a01), (a10, a11) = a
-        (b00, b01), (b10, b11) = b
-        return (
-            (add[mul[a00][b00]][mul[a01][b10]], add[mul[a00][b01]][mul[a01][b11]]),
-            (add[mul[a10][b00]][mul[a11][b10]], add[mul[a10][b01]][mul[a11][b11]]),
-        )
+    def matmul(x: Matrix, y: Matrix) -> Matrix:
+        a, b, c, d = x
+        e, f, g, h = y
+        return (add[mul[a][e]][mul[b][g]], add[mul[a][f]][mul[b][h]],
+                add[mul[c][e]][mul[d][g]], add[mul[c][f]][mul[d][h]])
 
-    def neg_matrix(a: Matrix) -> Matrix:
-        return ((neg[a[0][0]], neg[a[0][1]]), (neg[a[1][0]], neg[a[1][1]]))
+    def projmul(x: Matrix, y: Matrix) -> Matrix:
+        """The product, as the smaller of M and -M compared at the first
+        row-major entry where they differ (by field-element index).  That is
+        the first nonzero entry e, and -M is the smaller when neg[e] < e."""
+        a, b, c, d = x
+        e, f, g, h = y
+        m00 = add[mul[a][e]][mul[b][g]]
+        m01 = add[mul[a][f]][mul[b][h]]
+        m10 = add[mul[c][e]][mul[d][g]]
+        m11 = add[mul[c][f]][mul[d][h]]
+        first = m00 or m01  # the top row of an invertible matrix is nonzero
+        if neg[first] < first:
+            return neg[m00], neg[m01], neg[m10], neg[m11]
+        return m00, m01, m10, m11
 
-    gens: list[Matrix] = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
+    gens: list[Matrix] = [(1, 1, 0, 1), (1, 0, 1, 1)]
     if q > 3:
         w = primitive_element(spec)
-        gens.append(((w, 0), (0, inv[w])))
-    return matmul, neg_matrix, gens
+        gens.append((w, 0, 0, inv[w]))
+    if projective:
+        gens = [projmul(_IDENTITY, m) for m in gens]
+    return _closure(label, order, gens, projmul if projective else matmul,
+                    _IDENTITY, _render_matrix, cap)
 
 
-_IDENTITY: Matrix = ((1, 0), (0, 1))
+_IDENTITY: Matrix = (1, 0, 0, 1)
 
 
-def _render_matrix(a: Matrix) -> str:
-    return f"[[{a[0][0]},{a[0][1]}],[{a[1][0]},{a[1][1]}]]"
+def _render_matrix(m: Matrix) -> str:
+    return "[[{},{}],[{},{}]]".format(*m)
 
 
 def construct_sl2(q: int, cap: int | None = None) -> Group:
-    """SL(2, q): closure of the elementary transvections and a torus element."""
-    order = q * (q * q - 1)
-    label = f"SL(2,{q})"
-    _check_cap(order, cap, label)  # before _matrix_ops builds the field tables
-    matmul, _negm, gens = _matrix_ops(q)
-    return _closure(label, order, gens, matmul, _IDENTITY, _render_matrix, cap)
+    """SL(2, q)."""
+    return _matrix_group(f"SL(2,{q})", q * (q * q - 1), q, False, cap)
 
 
 def construct_psl2(q: int, cap: int | None = None) -> Group:
-    """PSL(2, q): SL(2, q) with M identified with -M.
-
-    Canonical coset representative: the smaller of M and -M, compared at the
-    first row-major entry where they differ (by field-element index).
-    """
-    order = q * (q * q - 1) // gcd(2, q - 1)
-    label = f"PSL(2,{q})"
-    _check_cap(order, cap, label)  # before _matrix_ops builds the field tables
-    matmul, negm, gens = _matrix_ops(q)
-
-    def canon(m: Matrix) -> Matrix:
-        n = negm(m)
-        return m if m <= n else n
-
-    def mul(a: Matrix, b: Matrix) -> Matrix:
-        return canon(matmul(a, b))
-
-    return _closure(label, order, [canon(m) for m in gens], mul, _IDENTITY,
-                    _render_matrix, cap)
+    """PSL(2, q): SL(2, q) with M identified with -M, each class kept as its
+    smaller member (see `_matrix_group`)."""
+    return _matrix_group(f"PSL(2,{q})", q * (q * q - 1) // gcd(2, q - 1), q, True, cap)
 
 
 # Family name -> (spec text, constructor).  Each `{}` in the text is one integer

@@ -138,7 +138,8 @@ def find_induced_pattern(g: Graph | TwinReducedGraph,
     full = red.rank_masks[pattern.max_twins]
     # fits[k]: the searched vertices with at least step k's pattern degree.
     fits = [full & red.degree_at_least(pattern.degrees[pv]) for pv in order]
-    adj = s.adj
+    adj = s._rows  # a row is filled when its vertex is placed
+    row = s.row
     assignment = [-1] * pattern.size  # pattern vertex -> search-graph vertex
     # reach[k]: (x_j, N(N(x_j) & full)) for step k's look-ahead step j.
     reach = [(-1, 0)] * pattern.size
@@ -160,13 +161,15 @@ def find_induced_pattern(g: Graph | TwinReducedGraph,
             if reach[step][0] != xj:
                 two = 0
                 for y in _bits(adj[xj] & full):
-                    two |= adj[y]
+                    two |= adj[y] or row(y)  # y's row holds x_j, so it is not 0
                 reach[step] = (xj, two)
             cand &= reach[step][1]
         while cand:
             low = cand & -cand
             v = low.bit_length() - 1
             cand ^= low
+            if adj[v] is None:
+                row(v)
             assignment[pv] = v
             if backtrack(step + 1, used | low):
                 return True

@@ -1,8 +1,10 @@
 """Undirected graphs on group elements, stored as Python-int bitsets.
 
-A `Graph` is kept as a clique quotient (see `Graph`).  Its vertex rows
-`adj` are built when first read, so a graph that is only reduced and
-searched never holds them; `has_edge` and `label` answer without them.
+A `Graph` is kept as a clique quotient (see `Graph`).  A vertex row is
+filled from the quotient when first read: `Graph.row(v)` fills v's block,
+and `Graph.adj` fills every row in one pass over the blocks.  So a graph
+that is only reduced and searched holds just the rows its searches read;
+`has_edge` and `label` answer without rows.
 
 `build_power_graph` joins u ~ v whenever one lies in the cyclic subgroup
 generated by the other, that is, whenever <u> and <v> are comparable under
@@ -32,8 +34,10 @@ as `1 << v` share a few dozen hash values and a row-keyed dict degrades to
 long collision chains.  An induced copy of a pattern H meets a class in at
 most m(H) vertices, the size of H's own largest twin class, so a search for
 H needs only the first m(H) members of each class;
-`TwinReducedGraph.rank_masks` marks them.  Witnesses translate straight back
-because representatives are original vertex ids.
+`TwinReducedGraph.rank_masks` marks them.  The search graph shares the
+graph's quotient, each block cut to its retained members, so the reduction
+builds no rows.  Witnesses translate straight back because representatives
+are original vertex ids.
 """
 
 from __future__ import annotations
@@ -66,13 +70,14 @@ def _mask(flags: list[bool]) -> int:
 class Graph:
     """Immutable-by-convention undirected graph, stored as a clique quotient.
 
-    `blocks` partition the vertices into cliques, ascending by least member,
-    whose members share one closed neighbourhood; `adjacency[b]` is the
-    bitmask of the blocks joined to block b, every member to every member.
-    Without `blocks` every vertex is a block of its own, so `adjacency[v]` is
-    the bitmask of v's neighbours.  `labels` is either the list of vertex
-    labels or a function that renders the label of vertex v on demand; by
-    default vertex v is labelled str(v).
+    `blocks` partition the vertices into cliques whose members share one
+    closed neighbourhood; a search graph's may be empty (see `twin_reduce`),
+    and the others ascend by least member.  `adjacency[b]` is the bitmask of
+    the blocks joined to block b, every member to every member.  Without
+    `blocks` every vertex is a block of its own, so `adjacency[v]` is the
+    bitmask of v's neighbours.  `labels` is either the list of vertex labels
+    or a function that renders the label of vertex v on demand; by default
+    vertex v is labelled str(v).
     """
 
     def __init__(self, adjacency: list[int],
@@ -81,13 +86,15 @@ class Graph:
         self.quotient: list[int] = adjacency
         self._blocks = blocks
         if blocks is None:
-            self.adj = adjacency
+            self.adj = self._rows = adjacency
             self.block_of: Sequence[int] = range(len(adjacency))
         else:
             self.block_of = [0] * sum(map(len, blocks))
             for b, members in enumerate(blocks):
                 for v in members:
                     self.block_of[v] = b
+            # _rows[v]: v's row, or None until it is first read.
+            self._rows: list[int | None] = [None] * len(self.block_of)
         self.n: int = len(self.block_of)
         if not callable(labels):
             if len(labels) != self.n:
@@ -102,14 +109,27 @@ class Graph:
             return [[v] for v in range(self.n)]
         return self._blocks
 
+    def row(self, v: int) -> int:
+        """The bitmask of v's neighbours.  A row not read before is filled
+        from the quotient, with the rows of v's block-mates."""
+        row = self._rows[v]
+        if row is None:
+            b = self.block_of[v]
+            closed = 0
+            for d in (b, *_bits(self.quotient[b])):
+                for u in self._blocks[d]:
+                    closed |= 1 << u
+            for u in self._blocks[b]:
+                self._rows[u] = closed ^ 1 << u
+            row = self._rows[v]
+        return row
+
     @cached_property
     def adj(self) -> list[int]:
-        """adj[v]: the bitmask of v's neighbours, built on first read."""
-        return self._vertex_rows()
-
-    def _vertex_rows(self) -> list[int]:
+        """adj[v]: the bitmask of v's neighbours, every row filled in one
+        pass over the blocks on first read."""
         masks = [sum(1 << v for v in members) for members in self._blocks]
-        rows = [0] * self.n
+        rows = self._rows
         for b, members in enumerate(self._blocks):
             closed = masks[b]
             for d in _bits(self.quotient[b]):
@@ -128,7 +148,7 @@ class Graph:
         return u != v and (bu == bv or bool(self.quotient[bu] >> bv & 1))
 
     def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return self.row(v).bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted list of (u, v) pairs with u < v."""
@@ -208,19 +228,24 @@ def twin_reduce(graph: Graph) -> TwinReducedGraph:
     The two relations never chain, so these runs give the classes: a vertex
     with a closed twin has no open twin.  For if u and v are closed twins and v and
     w are open twins, then u is in N(v) = N(w), so w is in N[u] = N[v], and
-    w, being distinct from v, is in N(v) = N(w), which no vertex is.  The
-    `RETAIN` smallest ids of each class are retained.  The search graph is
-    the subgraph they induce: a retained vertex's row is the union of the
-    retained members of the blocks in its block's closed neighbourhood, less
-    itself.  When every vertex is retained these are the graph's own rows,
-    and the search graph is the graph itself.  Every catalog pattern and
-    induced cycles of any length survive the reduction.
+    w, being distinct from v, is in N(v) = N(w), which no vertex is.  Empty
+    blocks hold no vertex, so they are left out of the runs and the rows.
+    The `RETAIN` smallest ids of each class are retained.  The search graph is
+    the subgraph they induce, given by the same quotient with each block cut
+    to its retained members, renumbered by rank in `retained`: a block with
+    none is empty, and rows are filled only when read.  When every vertex is
+    retained, the search graph is the graph itself.  Every catalog pattern
+    and induced cycles of any length survive the reduction.
     """
     rows, blocks = graph.quotient, graph.blocks
+    live = [b for b, members in enumerate(blocks) if members]
+    if len(live) < len(rows):
+        full = _mask([bool(members) for members in blocks])
+        rows = [row & full for row in rows]
     run_of: list[list[int] | None] = [None] * len(rows)
     closed = [row | 1 << b for b, row in enumerate(rows)]
-    singles = [b for b, members in enumerate(blocks) if len(members) == 1]
-    for keys, vertices in ((closed, range(len(rows))), (rows, singles)):
+    singles = [b for b in live if len(blocks[b]) == 1]
+    for keys, vertices in ((closed, live), (rows, singles)):
         for a, b in pairwise(sorted(vertices, key=keys.__getitem__)):
             if keys[a] == keys[b]:
                 if run_of[a] is None:
@@ -229,44 +254,30 @@ def twin_reduce(graph: Graph) -> TwinReducedGraph:
                 run_of[b] = run_of[a]
     # Blocks ascend by least member, so classes taken in the order of their
     # least block ascend by least member too.
-    classes = [blocks[b] if run is None else sorted(v for c in run for v in blocks[c])
-               for b, run in enumerate(run_of) if run is None or run[0] == b]
+    classes = [blocks[b] if run_of[b] is None
+               else sorted(v for c in run_of[b] for v in blocks[c])
+               for b in live if run_of[b] is None or run_of[b][0] == b]
     rank = {v: r for ms in classes for r, v in enumerate(ms[:RETAIN])}
     retained = sorted(rank)
     rank_masks = [_mask([rank[v] < m for v in retained]) for m in range(RETAIN + 1)]
-    own = [0] * len(rows)  # own[b]: the search-graph vertices in block b
-    sizes = [0] * len(rows)  # sizes[b]: how many there are
+    cut: list[list[int]] = [[] for _ in rows]  # cut[b]: block b's search vertices
     for i, v in enumerate(retained):
-        b = graph.block_of[v]
-        own[b] |= 1 << i
-        sizes[b] += 1
-    # reach[b]: the search-graph vertices in b's closed neighbourhood, and
-    # their number less one, the degree of each of b's own.
-    reach: list[tuple[int, int] | None] = [None] * len(rows)
-    search_rows, degrees = [], []
-    for i, v in enumerate(retained):
-        b = graph.block_of[v]
-        if reach[b] is None:
-            mask, size = own[b], sizes[b]
-            for d in _bits(rows[b]):
-                mask |= own[d]
-                size += sizes[d]
-            reach[b] = mask, size - 1
-        mask, degree = reach[b]
-        search_rows.append(mask ^ 1 << i)
-        degrees.append(degree)
+        cut[graph.block_of[v]].append(i)
+    # A search vertex's degree: the search vertices in its block's closed
+    # neighbourhood, less itself.
+    degree = [len(own) - 1 + sum(len(cut[d]) for d in _bits(rows[b])) if own else 0
+              for b, own in enumerate(cut)]
     if len(retained) == graph.n:
-        vars(graph).setdefault("adj", search_rows)  # its own rows: keep them
         search = graph
     else:
-        search = Graph(search_rows, lambda k: graph.label(retained[k]))
+        search = Graph(graph.quotient, lambda k: graph.label(retained[k]), cut)
     return TwinReducedGraph(
         original=graph,
         classes=classes,
         retained=retained,
         graph=search,
         rank_masks=rank_masks,
-        degrees=degrees,
+        degrees=[degree[graph.block_of[v]] for v in retained],
     )
 
 

@@ -23,7 +23,9 @@ from hypothesis import strategies as st
 
 from pglab import (PATTERNS, Graph, TwinReducedGraph, Witness, find_hole,
                    find_induced_pattern, twin_reduce, verify_witness)
-from pglab.group_kernel import CapExceededError
+from pglab.classifiers import is_prime_power
+from pglab.finite_field import construct_field, index_tables, primitive_element
+from pglab.group_kernel import CapExceededError, Group, close_generators
 from pglab.patterns import _as_reduction, _mcs_is_chordal
 from pglab.power_graph import RETAIN
 
@@ -491,6 +493,65 @@ def naive_field_product(spec, a, b):
             for j, m in enumerate(modulus):
                 prod[top - k + j] -= m
     return sum(prod[i] % p * p ** i for i in range(k))
+
+
+# -- payload oracles -----------------------------------------------------------------
+# The matrix and vector groups as the package built them before it stored
+# elements flat: SL(2,q) and PSL(2,q) on nested 2x2 tuples, E{p}^{k} on
+# coefficient tuples.  Same generators, same closure, so same numbering.
+
+
+def _matrix_ops(q):
+    """(matmul, neg_matrix, generators) over GF(q) indices, on nested tuples."""
+    spec = construct_field(*is_prime_power(q))
+    add, mul, neg, inv = index_tables(spec)
+
+    def matmul(a, b):
+        (a00, a01), (a10, a11) = a
+        (b00, b01), (b10, b11) = b
+        return (
+            (add[mul[a00][b00]][mul[a01][b10]], add[mul[a00][b01]][mul[a01][b11]]),
+            (add[mul[a10][b00]][mul[a11][b10]], add[mul[a10][b01]][mul[a11][b11]]),
+        )
+
+    def neg_matrix(a):
+        return ((neg[a[0][0]], neg[a[0][1]]), (neg[a[1][0]], neg[a[1][1]]))
+
+    gens = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
+    if q > 3:
+        w = primitive_element(spec)
+        gens.append(((w, 0), (0, inv[w])))
+    return matmul, neg_matrix, gens
+
+
+def _render_matrix(a):
+    return f"[[{a[0][0]},{a[0][1]}],[{a[1][0]},{a[1][1]}]]"
+
+
+def construct_sl2(q, cap=None):
+    matmul, _negm, gens = _matrix_ops(q)
+    return close_generators(gens, matmul, ((1, 0), (0, 1)), cap=cap,
+                            render_payload=_render_matrix)
+
+
+def construct_psl2(q, cap=None):
+    """PSL(2,q): the smaller of M and -M, compared entry by entry."""
+    matmul, negm, gens = _matrix_ops(q)
+
+    def canon(m):
+        return min(m, negm(m))
+
+    return close_generators([canon(m) for m in gens],
+                            lambda a, b: canon(matmul(a, b)), ((1, 0), (0, 1)),
+                            cap=cap, render_payload=_render_matrix)
+
+
+def elementary_abelian(p, k):
+    """E{p}^{k} on coefficient tuples; element i has coefficient i // p^j % p
+    in place j."""
+    elements = [tuple(i // p ** j % p for j in range(k)) for i in range(p ** k)]
+    return Group(elements, lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
+                 f"E{p}^{k}", lambda v: "(" + ",".join(map(str, v)) + ")")
 
 
 # -- retired package API -----------------------------------------------------------

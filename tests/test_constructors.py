@@ -18,6 +18,7 @@ from pglab.constructors import (
 )
 from pglab.group_kernel import (CapExceededError, compose_permutations,
                                 identity_permutation, render_permutation)
+import naive_oracle
 from naive_oracle import element_order_profile
 
 # -- spec parsing ----------------------------------------------------------------
@@ -115,6 +116,38 @@ def test_matrix_group_orders():
     assert construct_psl2(5).order == 60
     assert construct_psl2(7).order == 168
     assert build_group("PSL(2,9)").order == 360
+
+
+def _assert_same_elements(group, oracle):
+    """Index for index, the same rendering and the same element order."""
+    assert group.order == oracle.order
+    assert [group.render(i) for i in range(group.order)] == [
+        oracle.render(i) for i in range(oracle.order)]
+    assert group.element_orders() == [
+        naive_oracle.naive_element_order(oracle, i) for i in range(oracle.order)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27])
+def test_flat_matrix_groups_match_nested_tuple_oracle(q):
+    """SL(2,q) and PSL(2,q) on flat 4-tuples number and render their
+    elements as the nested-tuple construction does."""
+    cap = 20_000
+    _assert_same_elements(construct_psl2(q, cap), naive_oracle.construct_psl2(q, cap))
+    _assert_same_elements(construct_sl2(q, cap), naive_oracle.construct_sl2(q, cap))
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (2, 6), (3, 1), (3, 2), (3, 5),
+                                 (5, 3), (7, 2)])
+def test_bit_slot_vectors_match_tuple_oracle(p, k):
+    g, oracle = build_group(f"E{p}^{k}"), naive_oracle.elementary_abelian(p, k)
+    _assert_same_elements(g, oracle)
+    assert all(g.compose(i, j) == oracle.compose(i, j)
+               for i in range(0, g.order, 3) for j in range(g.order))
+
+
+def test_product_with_a_bit_slot_factor_matches_oracle():
+    oracle = direct_product(naive_oracle.elementary_abelian(3, 2), build_group("S3"))
+    _assert_same_elements(build_group("E3^2xS3"), oracle)
 
 
 # -- order profiles against known values ----------------------------------------------

@@ -333,24 +333,25 @@ def test_each_case_walks_each_group_once(monkeypatch, theorem_id):
 
 
 @pytest.mark.parametrize("spec", ["E3^9", "PSL(2,31)"])
-def test_verify_path_builds_no_vertex_rows(monkeypatch, spec):
-    """P*(G) is built, reduced and searched from its cyclic-subgroup quotient;
-    the search's witness check reads edges from the quotient too."""
+def test_verify_path_fills_few_rows(monkeypatch, spec):
+    """P*(G) is built and reduced from its cyclic-subgroup quotient, and the
+    search fills only the rows it reads: a few dozen of thousands.  The
+    witness check reads edges from the quotient."""
     from pglab.power_graph import Graph
 
     checked = []
     has_edge = Graph.has_edge
-
-    def refuse(graph):
-        raise AssertionError("vertex rows were built")
-
-    monkeypatch.setattr(Graph, "_vertex_rows", refuse)
     monkeypatch.setattr(Graph, "has_edge",
                         lambda graph, u, v: checked.append((u, v)) or has_edge(graph, u, v))
-    report = Harness(Corpus((_entry(spec),), (), ()), cap=25200).run_case("T-CHAIN")
-    (entry,) = report.entries
+    harness = Harness(Corpus((_entry(spec),), (), ()), cap=25200)
+    (entry,) = harness.run_case("T-CHAIN").entries
     assert entry.graph_side is False and entry.witness is not None
     assert checked
+    red = harness.bundle(harness.corpus.entries[0]).reduction(True)
+    assert red.graph.n > 5000
+    for graph in (red.original, red.graph):
+        assert "adj" not in vars(graph)
+        assert sum(row is not None for row in graph._rows) <= 40, spec
 
 
 def test_harness_cap_applies():

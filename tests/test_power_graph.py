@@ -308,6 +308,46 @@ def test_quotient_reduction_of_blow_ups_matches_reference(graphs):
     assert blown.adj == explicit.adj
 
 
+@settings(max_examples=300, deadline=None)
+@given(blown_up_graphs(), st.data())
+def test_rows_filled_on_demand_match_reference(graphs, data):
+    """Rows read one at a time, in any order, are the reference's rows, for
+    the blown-up graph and for its search graph; reading `adj` after some
+    rows are filled completes them."""
+    blown, explicit = graphs
+    red, ref = twin_reduce(blown), reference_twin_reduce(explicit)
+    for graph, rows in ((blown, explicit.adj), (red.graph, ref.graph.adj)):
+        order = data.draw(st.permutations(range(graph.n)))
+        some = order[:len(order) // 2]
+        assert [graph.row(v) for v in some] == [rows[v] for v in some]
+        assert graph.adj == rows
+        assert [graph.row(v) for v in order] == [rows[v] for v in order]
+
+
+def _assert_reduces_search_graph(search):
+    """`twin_reduce` of a search graph, whose cut blocks may be empty, is
+    the reduction of its explicit rows, and has no empty class."""
+    red = twin_reduce(search)
+    _assert_same_reduction(red, reference_twin_reduce(Graph(list(search.adj), search.label)))
+    assert all(red.classes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blown_up_graphs())
+def test_reducing_a_search_graph_matches_reference(graphs):
+    blown, _explicit = graphs
+    _assert_reduces_search_graph(twin_reduce(blown).graph)
+
+
+@pytest.mark.parametrize("spec", ["C16", "D8", "E2^4", "S4", "A5"])
+def test_reducing_a_search_graph_with_empty_blocks(spec):
+    """P*(G) of these groups has a class holding blocks past its third
+    member, so its search graph has empty blocks."""
+    search = twin_reduce(build_power_graph(build_group(spec), proper=True)).graph
+    assert not all(search.blocks)
+    _assert_reduces_search_graph(search)
+
+
 @pytest.mark.parametrize("spec", DEFAULT_CORPUS_SPECS)
 def test_no_vertex_has_both_twin_kinds(spec):
     """The lemma twin_reduce rests on: the closed-twin and open-twin

@@ -12,7 +12,9 @@ slow drifts of the machine hit both sides alike.  Then one
 traced run (``--trace 1``, seed 1) per side gives the layer breakdown.  Each
 run is a fresh process.  The output is a JSON list of records
 ``{commit, workload, trace, seed, result}``, where ``result`` is the last
-line ``perfbench/run.py`` prints.
+line ``perfbench/run.py`` prints.  A run that exits non-zero, prints no
+result or reports a failed check stops the script with exit status 1, after
+printing that run's stderr tail.
 """
 
 from __future__ import annotations
@@ -44,11 +46,19 @@ def run(tree: str, commit: str, workload: str, seed: int, seconds: float,
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    what = f"{commit[:7]} {workload} seed {seed} trace {trace}"
+    try:
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        result = None
+    if done.returncode or result is None or not result["correct"] or result["failed"]:
+        tail = "\n".join(done.stderr.splitlines()[-20:])
+        sys.exit(f"{what}: exit {done.returncode}, "
+                 f"{'no result' if result is None else 'failed ' + str(result['failed'])}"
+                 f"\n{tail}")
     metrics = result["metrics"]
     shown = metrics.get("wall_s", metrics.get("trace.wall_s"))["value"]
-    print(f"{commit[:7]} {workload:14s} seed {seed:3d} trace {trace} "
-          f"correct {result['correct']} wall {shown:.4f}", file=sys.stderr, flush=True)
+    print(f"{what} wall {shown:.4f}", file=sys.stderr, flush=True)
     return {"commit": commit, "workload": workload, "trace": trace, "seed": seed,
             "result": result}
 
