@@ -191,7 +191,9 @@ def elementary_abelian(p: int, k: int, cap: int | None = None) -> Group:
     ones = sum(1 << w * j for j in range(k))
     top = ones << w - 1  # the top bit of each slot
     bias = ones * ((1 << w - 1) - p)
-    elements = tuple(sum(i // p ** j % p << w * j for j in range(k)) for i in range(order))
+    elements = [0]
+    for j in range(k):
+        elements = [x | c << w * j for c in range(p) for x in elements]
 
     def add(a: int, b: int) -> int:
         s = a + b

@@ -107,17 +107,11 @@ class Group:
             yield generators, members
         self._orders = orders
 
-    def _order_cache(self) -> list[int]:
+    def element_orders(self) -> list[int]:
         if self._orders is None:
             for _ in self.cyclic_subgroups():
                 pass
-        return self._orders
-
-    def element_order(self, i: int) -> int:
-        return self._order_cache()[i]
-
-    def element_orders(self) -> list[int]:
-        return list(self._order_cache())
+        return list(self._orders)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"Group({self.label}, order={self.order})"
@@ -176,7 +170,7 @@ def identity_permutation(degree: int) -> tuple[int, ...]:
 
 def compose_permutations(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """(a ∘ b): apply b first, then a."""
-    return tuple(a[b[i]] for i in range(len(a)))
+    return tuple(map(a.__getitem__, b))
 
 
 def permutation_from_cycles(degree: int, cycles: Sequence[Sequence[int]]) -> tuple[int, ...]:

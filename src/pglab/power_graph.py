@@ -2,9 +2,9 @@
 
 A `Graph` is kept as a clique quotient (see `Graph`).  A vertex row is
 filled from the quotient when first read: `Graph.row(v)` fills v's block,
-and `Graph.adj` fills every row in one pass over the blocks.  So a graph
-that is only reduced and searched holds just the rows its searches read;
-`has_edge` and `label` answer without rows.
+and `Graph.adj` fills every row still empty in one pass over the blocks.
+So a graph that is only reduced and searched holds just the rows its
+searches read; `has_edge` and `label` answer without rows.
 
 `build_power_graph` joins u ~ v whenever one lies in the cyclic subgroup
 generated by the other, that is, whenever <u> and <v> are comparable under
@@ -31,13 +31,17 @@ open-twin run of the quotient.  Runs are found by sorting the quotient
 vertices by row, once by closed and once by open neighborhood, rather than
 by hashing rows: CPython hashes an int modulo 2^61 - 1, so sparse rows such
 as `1 << v` share a few dozen hash values and a row-keyed dict degrades to
-long collision chains.  An induced copy of a pattern H meets a class in at
-most m(H) vertices, the size of H's own largest twin class, so a search for
-H needs only the first m(H) members of each class;
-`TwinReducedGraph.rank_masks` marks them.  The search graph shares the
-graph's quotient, each block cut to its retained members, so the reduction
-builds no rows.  Witnesses translate straight back because representatives
-are original vertex ids.
+long collision chains.  The closed sort leaves out the blocks with no
+neighbour: two distinct blocks with equal closed neighbourhoods each lie in
+the other's, so they are adjacent, and an isolated block has no closed twin.
+Its closed row would be one high bit, so on an edgeless quotient such as
+P*(E2^k)'s the closed keys alone would take memory quadratic in the block
+count.  An induced copy of a pattern H meets a class in at most m(H)
+vertices, the size of H's own largest twin class, so a search for H needs
+only the first m(H) members of each class; `TwinReducedGraph.rank_masks`
+marks them.  The search graph shares the graph's quotient, each block cut
+to its retained members, so the reduction builds no rows.  Witnesses
+translate straight back because representatives are original vertex ids.
 """
 
 from __future__ import annotations
@@ -126,11 +130,14 @@ class Graph:
 
     @cached_property
     def adj(self) -> list[int]:
-        """adj[v]: the bitmask of v's neighbours, every row filled in one
-        pass over the blocks on first read."""
+        """adj[v]: the bitmask of v's neighbours.  On first read, one pass
+        over the blocks fills every row that `row` has not filled."""
         masks = [sum(1 << v for v in members) for members in self._blocks]
         rows = self._rows
         for b, members in enumerate(self._blocks):
+            # `row` fills a whole block at once, so its first member tells.
+            if not members or rows[members[0]] is not None:
+                continue
             closed = masks[b]
             for d in _bits(self.quotient[b]):
                 closed |= masks[d]
@@ -222,9 +229,12 @@ class TwinReducedGraph:
 def twin_reduce(graph: Graph) -> TwinReducedGraph:
     """Group vertices with equal closed or equal open neighborhoods.
 
-    Sorting the quotient vertices by closed row (quotient[b] | 1 << b), and
-    the one-member blocks by open row (quotient[b]), puts the blocks of each
-    class in one run of equal rows, ascending (see the module docstring).
+    Sorting the quotient vertices with a neighbour by closed row
+    (quotient[b] | 1 << b), and the one-member blocks by open row
+    (quotient[b]), puts the blocks of each class in one run of equal rows,
+    ascending (see the module docstring).  An isolated block is left out of
+    the closed sort, since it has no closed twin: distinct blocks with equal
+    closed rows each lie in the other's closed row, so they are adjacent.
     The two relations never chain, so these runs give the classes: a vertex
     with a closed twin has no open twin.  For if u and v are closed twins and v and
     w are open twins, then u is in N(v) = N(w), so w is in N[u] = N[v], and
@@ -243,9 +253,12 @@ def twin_reduce(graph: Graph) -> TwinReducedGraph:
         full = _mask([bool(members) for members in blocks])
         rows = [row & full for row in rows]
     run_of: list[list[int] | None] = [None] * len(rows)
-    closed = [row | 1 << b for b, row in enumerate(rows)]
+    # An isolated block gets no closed key: it has no closed twin, and its
+    # key, one high bit, would take about b/8 bytes for block b.
+    closed = [row and row | 1 << b for b, row in enumerate(rows)]
+    linked = [b for b in live if rows[b]]
     singles = [b for b in live if len(blocks[b]) == 1]
-    for keys, vertices in ((closed, live), (rows, singles)):
+    for keys, vertices in ((closed, linked), (rows, singles)):
         for a, b in pairwise(sorted(vertices, key=keys.__getitem__)):
             if keys[a] == keys[b]:
                 if run_of[a] is None:

@@ -191,7 +191,7 @@ def test_criterion_08_diamond_codiamond(reports):
     q8_ids = tuple(i - 1 for i in (
         q8.index_of((1, 0)), q8.index_of((0, 1)),
         q8.index_of((1, 1)), q8.index_of((3, 1))))
-    assert all(q8.element_order(i) == 4 for i in _ids_to_elements(q8_ids))
+    assert all(q8.element_orders()[i] == 4 for i in _ids_to_elements(q8_ids))
     assert verify_witness(q8_proper, "co-diamond", q8_ids)
     s3_proper = build_power_graph(build_group("S3"), proper=True)
     s3_ids = _ids(s3_proper, ("(1 2)", "(2 3)", "(1 2 3)", "(1 3 2)"))

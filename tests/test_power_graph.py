@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -86,7 +87,7 @@ def test_build_and_orders_walk_each_cyclic_subgroup_once(monkeypatch):
     monkeypatch.setattr(group, "compose", counting_compose)
     build_power_graph(group, proper=True)
     group.element_orders()
-    group.element_order(7)
+    group.element_orders()
     assert 0 < calls <= sum(d for d in range(1, 361) if 360 % d == 0)
 
 
@@ -249,6 +250,20 @@ def test_twin_reduce_on_sparse_rows_of_20000_vertices():
     matching = Graph([1 << (v ^ 1) for v in range(n)])
     red = _check_against_oracle(matching, [[v, v + 1] for v in range(0, n, 2)])
     assert red.graph is matching
+
+
+def test_twin_reduce_memory_is_linear_on_an_edgeless_quotient():
+    """P*(E2^12) is 4,095 isolated vertices.  A closed key 1 << b for each
+    would take about n^2/16 bytes, 1 MiB here; none is built."""
+    graph = build_power_graph(build_group("E2^12"), proper=True)
+    tracemalloc.start()
+    try:
+        red = twin_reduce(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert red.retained == [0, 1, 2]
+    assert peak < 2**20
 
 
 def _assert_same_reduction(red, ref):

@@ -1,7 +1,9 @@
-"""The per-layer tracer in perfbench/tracing.py patches pglab names given as
-strings and reads reductions through `GroupBundle.reduction`.  This runs it
-on a small workload, so a refactor that renames or moves what it patches
-fails here, not only in perfbench/tests, which this suite does not run."""
+"""The benchmark's own files use pglab.  perfbench/tracing.py patches pglab
+names given as strings and reads reductions through `GroupBundle.reduction`;
+perfbench/check.py replays witnesses on a `Graph` given by vertex rows, with
+`verify_witness`.  These tests run both on small inputs, so a refactor that
+renames or moves what they use fails here, not only in perfbench/tests,
+which this suite does not run."""
 
 import importlib.util
 import os
@@ -9,19 +11,20 @@ import os
 from pglab.harness import Corpus, CorpusEntry, Harness, analyze_group
 from pglab.constructors import parse_group_spec
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "perfbench", "tracing.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  os.path.join(PERFBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_patches_and_restores_pglab():
-    tracer = _load_tracing().Tracer()
+    tracer = _load("tracing").Tracer()
     entries = tuple(CorpusEntry(s, parse_group_spec(s)) for s in ("S4", "PSL(2,8)"))
     factors = tuple(CorpusEntry(s, parse_group_spec(s)) for s in ("C2", "C3"))
     harness = Harness(Corpus(entries, factors, (8,)))
@@ -46,3 +49,17 @@ def test_tracer_patches_and_restores_pglab():
     # `GroupBundle.reduction`, so their searches carry their labels.
     searched = {graph for _, graph, _ in tracer.top_searches(100)}
     assert {"C2xC3*", "C3xC2*"} <= searched
+
+
+def test_benchmark_replays_a_witness(monkeypatch):
+    """check.py imports `workloads` by name, as perfbench/run.py does."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    check = _load("check")
+    doc = analyze_group("PSL(2,7)", proper=True).to_dict()
+    name, witness = next((k, w) for k, w in doc["patterns"].items() if w is not None)
+    one = dict(doc, patterns={name: witness})
+    replay = check.WitnessReplay(None)
+    assert replay.problems(check.Item("PSL(2,7)*", 0.0, one)) == []
+    other = next(k for k, w in doc["patterns"].items() if w is None)
+    wrong = dict(doc, patterns={other: witness})
+    assert "induces none" in replay.problems(check.Item("PSL(2,7)*", 0.0, wrong))[0]
