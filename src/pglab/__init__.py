@@ -43,7 +43,6 @@ from .patterns import (
     Witness,
     find_hole,
     find_induced_pattern,
-    is_cograph,
     verify_witness,
 )
 from .classifiers import (

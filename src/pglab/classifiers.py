@@ -147,10 +147,6 @@ def prime_graph_edges(flags: StructureFlags) -> list[tuple[int, int]]:
             if any(o % (ps[i] * ps[j]) == 0 for o, _ in flags.order_profile)]
 
 
-def _as_flags(g: Group | StructureFlags) -> StructureFlags:
-    return g if isinstance(g, StructureFlags) else compute_structure_flags(g)
-
-
 # ---------------------------------------------------------------------------
 # Right-hand-side predicates, one per verification case.
 # ---------------------------------------------------------------------------
@@ -245,7 +241,7 @@ def rhs_psl2(q: int) -> bool:
 
 def sz_side_numbers(q: int) -> tuple[int, ...]:
     """q-1, q-sqrt(2q)+1, q+sqrt(2q)+1 for q = 2^(2e+1)."""
-    fac = factorize(q)
+    fac = factorize(q) if q >= 2 else []
     if len(fac) != 1 or fac[0][0] != 2 or fac[0][1] % 2 == 0 or fac[0][1] < 3:
         raise ValueError(f"Suzuki parameter must be 2^(2e+1) with e >= 1, got {q}")
     root = 1 << ((fac[0][1] + 1) // 2)  # sqrt(2q)
@@ -418,8 +414,9 @@ THEOREM_IDS: tuple[str, ...] = tuple(CASES)
 def rhs_predicate(theorem_id: str, *args) -> bool:
     """The named case's structural side.
 
-    Group-shaped cases accept a Group or precomputed StructureFlags;
-    T-P5P5B-PRODUCT takes two of them; T-PSL2 / T-SZ take the integer q.
+    Group-shaped cases take the group's StructureFlags
+    (`compute_structure_flags`); T-P5P5B-PRODUCT takes those of its two
+    factors; T-PSL2 / T-SZ take the integer q.
     """
     case = CASES.get(theorem_id)
     if case is None:
@@ -427,4 +424,4 @@ def rhs_predicate(theorem_id: str, *args) -> bool:
     if case.by_q:
         (q,) = args
         return case.rhs(int(q))
-    return case.rhs(*map(_as_flags, args))
+    return case.rhs(*args)

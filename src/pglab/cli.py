@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .classifiers import THEOREM_IDS, psl2_side_numbers, rhs_psl2, rhs_sz, sz_side_numbers, is_admissible_cyclic_order
+from .classifiers import THEOREM_IDS, psl2_side_numbers, sz_side_numbers, is_admissible_cyclic_order
 from .harness import Harness, analyze_group, default_corpus, load_corpus
 from .power_graph import export_graph
 
@@ -136,17 +136,13 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_numbers(args) -> int:
-    if args.family == "psl2":
-        sides = psl2_side_numbers(args.q)
-        verdict = rhs_psl2(args.q)
-    else:
-        sides = sz_side_numbers(args.q)
-        verdict = rhs_sz(args.q)
-    parts = ", ".join(
-        f"{n} ({'admissible' if is_admissible_cyclic_order(n) else 'not admissible'})"
-        for n in sides)
+    side_numbers = psl2_side_numbers if args.family == "psl2" else sz_side_numbers
+    sides = side_numbers(args.q)
+    admissible = [is_admissible_cyclic_order(n) for n in sides]
+    parts = ", ".join(f"{n} ({'admissible' if ok else 'not admissible'})"
+                      for n, ok in zip(sides, admissible))
     print(f"{args.family} q={args.q}: side numbers {parts}; predicate "
-          f"{str(verdict).lower()}")
+          f"{str(all(admissible)).lower()}")
     return 0
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from .classifiers import (
@@ -137,36 +138,30 @@ class GroupBundle:
         self.spec = spec
         self.cap = cap
         self.label = spec_label(spec)
-        self._group = group
-        self._graph: Graph | None = None
-        self._flags: StructureFlags | None = None
-        self._reduction: TwinReducedGraph | None = None
+        if group is not None:
+            self.group = group
 
-    @property
+    @cached_property
     def group(self) -> Group:
-        if self._group is None:
-            self._group = build_group(self.spec, self.cap)
-        return self._group
+        return build_group(self.spec, self.cap)
 
-    @property
+    @cached_property
     def graph(self) -> Graph:
         """P*(G), as its quotient on the cyclic subgroups."""
-        if self._graph is None:
-            self._graph = build_power_graph(self.group, proper=True)
-        return self._graph
+        return build_power_graph(self.group, proper=True)
 
-    @property
+    @cached_property
     def flags(self) -> StructureFlags:
-        if self._flags is None:
-            self.graph  # built first: its walk fills the element orders
-            self._flags = compute_structure_flags(self.group)
-        return self._flags
+        self.graph  # built first: its walk fills the element orders
+        return compute_structure_flags(self.group)
+
+    @cached_property
+    def _reduction(self) -> TwinReducedGraph:
+        return twin_reduce(self.graph)
 
     def reduction(self, proper: bool) -> TwinReducedGraph:
         if not proper:
             raise ValueError("only P*(G) is reduced; P(G) is answered from it")
-        if self._reduction is None:
-            self._reduction = twin_reduce(self.graph)
         return self._reduction
 
 

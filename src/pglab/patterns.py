@@ -186,11 +186,6 @@ def find_induced_pattern(g: Graph | TwinReducedGraph,
     return witness
 
 
-def is_cograph(g: Graph | TwinReducedGraph) -> tuple[bool, Witness | None]:
-    w = find_induced_pattern(g, "P4")
-    return (w is None, w)
-
-
 def _mcs_is_chordal(s: Graph) -> bool:
     """Whether `s` has no hole (maximum-cardinality search, then a perfect
     elimination order check).  Each step visits the heaviest unvisited

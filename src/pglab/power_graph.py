@@ -1,10 +1,11 @@
 """Undirected graphs on group elements, stored as Python-int bitsets.
 
-A `Graph` is kept as a clique quotient (see `Graph`).  A vertex row is
-filled from the quotient when first read: `Graph.row(v)` fills v's block,
-and `Graph.adj` fills every row still empty in one pass over the blocks.
-So a graph that is only reduced and searched holds just the rows its
-searches read; `has_edge` and `label` answer without rows.
+A `Graph` is kept as a clique quotient (see `Graph`); one given by vertex
+rows alone is stored as singleton blocks.  A vertex row is filled from the
+quotient when first read, by `Graph.row(v)`, which fills v's whole block;
+`Graph.adj` fills every row through `row`.  So a graph that is only
+reduced and searched holds just the rows its searches read; `has_edge` and
+`label` answer without rows.
 
 `build_power_graph` joins u ~ v whenever one lies in the cyclic subgroup
 generated by the other, that is, whenever <u> and <v> are comparable under
@@ -78,8 +79,9 @@ class Graph:
     closed neighbourhood; a search graph's may be empty (see `twin_reduce`),
     and the others ascend by least member.  `adjacency[b]` is the bitmask of
     the blocks joined to block b, every member to every member.  Without
-    `blocks` every vertex is a block of its own, so `adjacency[v]` is the
-    bitmask of v's neighbours.  `labels` is either the list of vertex labels
+    `blocks` every vertex is a block of its own (singleton blocks), so
+    `adjacency[v]` is the bitmask of v's neighbours.  Rows are filled only by
+    `row`, when first read.  `labels` is either the list of vertex labels
     or a function that renders the label of vertex v on demand; by default
     vertex v is labelled str(v).
     """
@@ -87,31 +89,22 @@ class Graph:
     def __init__(self, adjacency: list[int],
                  labels: Sequence[str] | Callable[[int], str] = str,
                  blocks: list[list[int]] | None = None) -> None:
-        self.quotient: list[int] = adjacency
-        self._blocks = blocks
         if blocks is None:
-            self.adj = self._rows = adjacency
-            self.block_of: Sequence[int] = range(len(adjacency))
-        else:
-            self.block_of = [0] * sum(map(len, blocks))
-            for b, members in enumerate(blocks):
-                for v in members:
-                    self.block_of[v] = b
-            # _rows[v]: v's row, or None until it is first read.
-            self._rows: list[int | None] = [None] * len(self.block_of)
+            blocks = [[v] for v in range(len(adjacency))]
+        self.quotient: list[int] = adjacency
+        self.blocks: list[list[int]] = blocks
+        self.block_of: list[int] = [0] * sum(map(len, blocks))
+        for b, members in enumerate(blocks):
+            for v in members:
+                self.block_of[v] = b
+        # _rows[v]: v's row, or None until it is first read.
+        self._rows: list[int | None] = [None] * len(self.block_of)
         self.n: int = len(self.block_of)
         if not callable(labels):
             if len(labels) != self.n:
                 raise ValueError("label count does not match vertex count")
             labels = labels.__getitem__
         self.label: Callable[[int], str] = labels
-
-    @property
-    def blocks(self) -> list[list[int]]:
-        """The blocks of the quotient; without given blocks, every vertex."""
-        if self._blocks is None:
-            return [[v] for v in range(self.n)]
-        return self._blocks
 
     def row(self, v: int) -> int:
         """The bitmask of v's neighbours.  A row not read before is filled
@@ -121,29 +114,20 @@ class Graph:
             b = self.block_of[v]
             closed = 0
             for d in (b, *_bits(self.quotient[b])):
-                for u in self._blocks[d]:
+                for u in self.blocks[d]:
                     closed |= 1 << u
-            for u in self._blocks[b]:
+            for u in self.blocks[b]:
                 self._rows[u] = closed ^ 1 << u
             row = self._rows[v]
         return row
 
     @cached_property
     def adj(self) -> list[int]:
-        """adj[v]: the bitmask of v's neighbours.  On first read, one pass
-        over the blocks fills every row that `row` has not filled."""
-        masks = [sum(1 << v for v in members) for members in self._blocks]
-        rows = self._rows
-        for b, members in enumerate(self._blocks):
-            # `row` fills a whole block at once, so its first member tells.
-            if not members or rows[members[0]] is not None:
-                continue
-            closed = masks[b]
-            for d in _bits(self.quotient[b]):
-                closed |= masks[d]
-            for v in members:
-                rows[v] = closed ^ 1 << v
-        return rows
+        """adj[v]: the bitmask of v's neighbours, every row filled by `row`."""
+        for members in self.blocks:
+            if members:
+                self.row(members[0])
+        return self._rows
 
     @property
     def labels(self) -> list[str]:

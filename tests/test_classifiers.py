@@ -325,6 +325,5 @@ def test_rhs_dispatcher_validation():
     assert len(set(THEOREM_IDS)) == 16
     with pytest.raises(ValueError):
         rhs_predicate("T-BOGUS", _flags("C2"))
-    # group arguments are accepted directly and converted to flags
-    assert rhs_predicate("T-CHAIN", build_group("C3"))
-    assert rhs_predicate("T-P5P5B-PRODUCT", build_group("C4"), build_group("C3"))
+    assert rhs_predicate("T-CHAIN", _flags("C3"))
+    assert rhs_predicate("T-P5P5B-PRODUCT", _flags("C4"), _flags("C3"))

@@ -202,6 +202,10 @@ def test_numbers_invalid_parameter(capsys):
     assert main(["numbers", "sz", "16"]) == 2
     assert "error" in capsys.readouterr().err
     assert main(["numbers", "psl2", "6"]) == 2
+    capsys.readouterr()
+    for q in ("0", "-8"):
+        assert main(["numbers", "sz", q]) == 2
+        assert f"Suzuki parameter must be 2^(2e+1) with e >= 1, got {q}" in capsys.readouterr().err
 
 
 # Runs a "module:attr" target the way the console-script wrapper that pip

@@ -327,11 +327,15 @@ def test_quotient_reduction_of_blow_ups_matches_reference(graphs):
 @given(blown_up_graphs(), st.data())
 def test_rows_filled_on_demand_match_reference(graphs, data):
     """Rows read one at a time, in any order, are the reference's rows, for
-    the blown-up graph and for its search graph; reading `adj` after some
+    the blown-up graph, for the same graph given by its vertex rows alone
+    (singleton blocks) and for the search graph; reading `adj` after some
     rows are filled completes them."""
     blown, explicit = graphs
     red, ref = twin_reduce(blown), reference_twin_reduce(explicit)
-    for graph, rows in ((blown, explicit.adj), (red.graph, ref.graph.adj)):
+    # A rows-only graph keeps the rows it is given as its quotient.
+    given = explicit.quotient
+    for graph, rows in ((blown, given), (Graph(given), given),
+                        (red.graph, ref.graph.quotient)):
         order = data.draw(st.permutations(range(graph.n)))
         some = order[:len(order) // 2]
         assert [graph.row(v) for v in some] == [rows[v] for v in some]
