@@ -357,7 +357,7 @@ class Case:
     StructureFlags, or the field size q where `by_q` is set.  With `pairs`
     set the case covers ordered pairs of product sub-corpus members instead,
     and `rhs` takes both factors' flags.  A case with neither patterns nor a
-    hole has no graph side: it is rhs-only, over the Suzuki parameters.
+    hole is rhs-only, over the corpus's Suzuki parameters q, which `rhs` takes.
     """
 
     id: str
@@ -397,7 +397,7 @@ CASES: dict[str, Case] = {c.id: c for c in (
     Case("T-SN", rhs_symmetric, _P5_P5BAR, family="S"),
     Case("T-AN", rhs_alternating, _P5_P5BAR, family="A"),
     Case("T-PSL2", rhs_psl2, _P5_P5BAR, family="PSL2", by_q=True),
-    Case("T-SZ", rhs_sz, by_q=True),
+    Case("T-SZ", rhs_sz),
     Case("T-P2P3-NILP", rhs_p2p3_nilpotent, _P2P3, when=_nilpotent),
     Case("T-P2P3-NONNILP", rhs_p2p3_nonnilpotent, _P2P3, when=_not_nilpotent),
     Case("T-DIAMOND", rhs_diamond, ("diamond",)),
@@ -421,7 +421,4 @@ def rhs_predicate(theorem_id: str, *args) -> bool:
     case = CASES.get(theorem_id)
     if case is None:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
-    if case.by_q:
-        (q,) = args
-        return case.rhs(int(q))
     return case.rhs(*args)

@@ -42,6 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--json", action="store_true", dest="as_json")
     p_analyze.add_argument("--allow-large", action="store_true",
                            help=f"raise the order cap to {ALLOW_LARGE_CAP}")
+    p_analyze.set_defaults(run=_cmd_analyze)
 
     p_verify = sub.add_parser("verify", help="run verification cases over a corpus")
     p_verify.add_argument("case", help="case id or 'all'")
@@ -50,13 +51,16 @@ def _build_parser() -> argparse.ArgumentParser:
                           help=f"raise the order cap to {ALLOW_LARGE_CAP}")
     p_verify.add_argument("--min-hole-length", type=int, default=4)
     p_verify.add_argument("--json", action="store_true", dest="as_json")
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_corpus = sub.add_parser("corpus", help="corpus utilities")
     p_corpus.add_argument("action", choices=["list"])
+    p_corpus.set_defaults(run=_cmd_corpus)
 
     p_numbers = sub.add_parser("numbers", help="number-theoretic side conditions")
     p_numbers.add_argument("family", choices=["psl2", "sz"])
     p_numbers.add_argument("q", type=int)
+    p_numbers.set_defaults(run=_cmd_numbers)
 
     return parser
 
@@ -129,9 +133,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    if args.action == "list":
-        for entry in default_corpus().entries:
-            print(entry.spec_text)
+    for entry in default_corpus().entries:  # "list", the only action
+        print(entry.spec_text)
     return 0
 
 
@@ -149,18 +152,10 @@ def _cmd_numbers(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "corpus":
-            return _cmd_corpus(args)
-        if args.command == "numbers":
-            return _cmd_numbers(args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -95,6 +95,7 @@ class Witness:
 
 
 def _as_reduction(g: Graph | TwinReducedGraph) -> TwinReducedGraph:
+    # perfbench/tracing.py patches this module's `twin_reduce`; keep calling it here.
     return g if isinstance(g, TwinReducedGraph) else twin_reduce(g)
 
 
@@ -254,9 +255,23 @@ def find_hole(g: Graph | TwinReducedGraph, parity: str = "any",
             found = _hole_dfs(s, start, v1, above, min_len, parity_ok)
             if found is not None:
                 original = tuple(red.retained[v] for v in found)
-                return Witness(f"C{len(found)}", original,
+                if not (len(original) >= min_len and parity_ok(len(original))
+                        and _is_induced_cycle(red.original, original)):
+                    raise RuntimeError(f"search produced an invalid hole {list(original)}")
+                return Witness(f"C{len(original)}", original,
                                tuple(red.original.label(v) for v in original))
     return None
+
+
+def _is_induced_cycle(graph: Graph, cycle: tuple[int, ...]) -> bool:
+    """Whether `cycle`, in order, induces a cycle of its length in `graph`:
+    its vertices are distinct, and each one's row, masked to the cycle, is
+    exactly its two cycle neighbours."""
+    k = len(cycle)
+    on_cycle = sum(1 << v for v in set(cycle))
+    return on_cycle.bit_count() == k >= 3 and all(
+        graph.row(v) & on_cycle == 1 << cycle[i - 1] | 1 << cycle[(i + 1) % k]
+        for i, v in enumerate(cycle))
 
 
 def _hole_dfs(s: Graph, start: int, v1: int, above: int, min_len: int,

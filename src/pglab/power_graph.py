@@ -33,14 +33,10 @@ vertices by row, once by closed and once by open neighborhood, rather than
 by hashing rows: CPython hashes an int modulo 2^61 - 1, so sparse rows such
 as `1 << v` share a few dozen hash values and a row-keyed dict degrades to
 long collision chains.  The closed sort leaves out the blocks with no
-neighbour: two distinct blocks with equal closed neighbourhoods each lie in
-the other's, so they are adjacent, and an isolated block has no closed twin.
-Its closed row would be one high bit, so on an edgeless quotient such as
-P*(E2^k)'s the closed keys alone would take memory quadratic in the block
-count.  An induced copy of a pattern H meets a class in at most m(H)
-vertices, the size of H's own largest twin class, so a search for H needs
-only the first m(H) members of each class; `TwinReducedGraph.rank_masks`
-marks them.  The search graph shares the graph's quotient, each block cut
+neighbour; `twin_reduce` says why.  An induced copy of a pattern H meets a
+class in at most m(H) vertices, the size of H's own largest twin class, so
+a search for H needs only the first m(H) members of each class;
+`TwinReducedGraph.rank_masks` marks them.  The search graph shares the graph's quotient, each block cut
 to its retained members, so the reduction builds no rows.  Witnesses
 translate straight back because representatives are original vertex ids.
 """
@@ -219,10 +215,15 @@ def twin_reduce(graph: Graph) -> TwinReducedGraph:
     ascending (see the module docstring).  An isolated block is left out of
     the closed sort, since it has no closed twin: distinct blocks with equal
     closed rows each lie in the other's closed row, so they are adjacent.
-    The two relations never chain, so these runs give the classes: a vertex
-    with a closed twin has no open twin.  For if u and v are closed twins and v and
-    w are open twins, then u is in N(v) = N(w), so w is in N[u] = N[v], and
-    w, being distinct from v, is in N(v) = N(w), which no vertex is.  Empty
+    Its closed key would be the one high bit 1 << b, about b/8 bytes, so on
+    an edgeless quotient the keys alone would take memory quadratic in the
+    block count: about 20 MB on P*(E2^14), with its 16,383 isolated blocks.
+    Isolated one-member blocks still take part in the open sort, where they
+    form one class.  The two relations never chain, so these runs give the
+    classes: a vertex with a closed twin has no open twin.  For if u and v
+    are closed twins and v and w are open twins, then u is in N(v) = N(w),
+    so w is in N[u] = N[v], and w, being distinct from v, is in
+    N(v) = N(w), which no vertex is.  Empty
     blocks hold no vertex, so they are left out of the runs and the rows.
     The `RETAIN` smallest ids of each class are retained.  The search graph is
     the subgraph they induce, given by the same quotient with each block cut
@@ -237,8 +238,7 @@ def twin_reduce(graph: Graph) -> TwinReducedGraph:
         full = _mask([bool(members) for members in blocks])
         rows = [row & full for row in rows]
     run_of: list[list[int] | None] = [None] * len(rows)
-    # An isolated block gets no closed key: it has no closed twin, and its
-    # key, one high bit, would take about b/8 bytes for block b.
+    # An isolated block gets no closed key (see the docstring).
     closed = [row and row | 1 << b for b, row in enumerate(rows)]
     linked = [b for b in live if rows[b]]
     singles = [b for b in live if len(blocks[b]) == 1]

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import pytest
@@ -7,6 +8,7 @@ from pglab import (
     PATTERNS,
     THEOREM_IDS,
     Corpus,
+    Graph,
     Harness,
     analyze_group,
     build_group,
@@ -19,6 +21,8 @@ from pglab import (
     twin_reduce,
     verify_witness,
 )
+from pglab.classifiers import CASES
+from pglab.constructors import spec_label
 from pglab.harness import (
     DEFAULT_CORPUS_SPECS,
     DEFAULT_SZ_PARAMS,
@@ -27,7 +31,9 @@ from pglab.harness import (
     _entry,
 )
 from pglab.patterns import _mcs_is_chordal
-from naive_oracle import chain_third_family
+from naive_oracle import chain_third_family, cyclic_closure
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 PROPER_SIDED = {"T-CHAIN", "T-DIAMOND", "T-EVENHOLE-DIAMOND", "T-DIAMOND-CODIAMOND"}
 
@@ -238,6 +244,23 @@ def test_sz_report_is_rhs_only(reports):
     assert entry.witness is None
 
 
+def test_collected_subjects_keep_their_own_arguments(harness):
+    """Each subject carries its structural side's arguments, so drawing all
+    the subjects before evaluating any changes none of them."""
+    subjects = {tid: list(harness._subjects(CASES[tid]))
+                for tid in ("T-DIAMOND", "T-PSL2", "T-P5P5B-PRODUCT", "T-SZ")}
+    assert len(subjects["T-DIAMOND"]) == 60
+    for label, bundle, args in subjects["T-DIAMOND"]:
+        assert len(args) == 1 and args[0] is bundle.flags, label
+    assert [args for _, _, args in subjects["T-PSL2"]] == [
+        (q,) for q in (4, 5, 7, 8, 9, 11, 13)]
+    for label, pair, args in subjects["T-P5P5B-PRODUCT"]:
+        a, b = (harness.bundle(_entry(spec_label(s)))
+                for s in (pair.spec.left, pair.spec.right))
+        assert len(args) == 2 and args[0] is a.flags and args[1] is b.flags, label
+    assert subjects["T-SZ"] == [("Sz(8)", None, (8,))]
+
+
 def test_report_json_schema(reports):
     for tid, report in reports.items():
         doc = report.to_dict()
@@ -289,6 +312,31 @@ def test_single_entry_corpus():
     assert len(by_id["T-P5P5B-PRODUCT"].entries) == 1
     assert by_id["T-P5P5B-PRODUCT"].entries[0].group == "C2xC2"
     assert all(r.mismatches == 0 for r in by_id.values())
+
+
+def test_psl2_59_has_both_sides_false():
+    """PSL(2,59), order 102,660, read from the PSL(2,q) sweep corpus: its
+    side numbers are 29 and 30, and 30 is not an admissible cyclic order, so
+    T-PSL2's structural side is false, and P(G) has a P5 or P5bar.  The
+    witness is re-checked on the subgroups its five elements generate,
+    without the power graph."""
+    sweep = load_corpus(os.path.join(ROOT, "corpora", "psl2.corpus"))
+    assert len(sweep.entries) == 28
+    (entry,) = [e for e in sweep.entries if e.spec_text == "PSL(2,59)"]
+    harness = Harness(Corpus((entry,), (), ()), cap=102660)
+    (record,) = harness.run_case("T-PSL2").entries
+    assert (record.group, record.graph_side, record.rhs, record.agree) == (
+        "PSL(2,59)", False, False, True)
+    group = harness.bundle(entry).group
+    ids = [group.index_of(tuple(x for row in json.loads(label) for x in row))
+           for label in record.witness]
+    assert [group.render(v) for v in ids] == list(record.witness)
+    powers = [cyclic_closure(group, v) for v in ids]
+    adj = [sum(1 << b for b in range(5)
+               if b != a and (ids[a] in powers[b] or ids[b] in powers[a]))
+           for a in range(5)]
+    assert any(verify_witness(Graph(adj), name, tuple(range(5)))
+               for name in ("P5", "P5bar"))
 
 
 def _four_entry_corpus():

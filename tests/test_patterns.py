@@ -14,6 +14,7 @@ from pglab import (
     twin_reduce,
     verify_witness,
 )
+from pglab import patterns
 from pglab.harness import DEFAULT_CORPUS_SPECS
 from pglab.patterns import _make_pattern, _mcs_is_chordal
 from pglab.power_graph import RETAIN
@@ -264,6 +265,20 @@ def test_find_hole_witness_is_cycle_order():
         for j in range(i + 2, k):
             if (i, j) != (0, k - 1):
                 assert not graph.has_edge(w.vertices[i], w.vertices[j])
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda cycle: cycle[:-1],                        # a path, not closed
+    lambda cycle: cycle + [cycle[1]],                # a vertex twice
+    lambda cycle: [cycle[0], cycle[2], cycle[1]] + cycle[3:],  # out of cycle order
+])
+def test_find_hole_rejects_an_invalid_cycle(monkeypatch, corrupt):
+    """The cycle the depth-first search returns is re-verified on the
+    original graph before it becomes a witness."""
+    search = patterns._hole_dfs
+    monkeypatch.setattr(patterns, "_hole_dfs", lambda *args: corrupt(search(*args)))
+    with pytest.raises(RuntimeError, match="invalid hole"):
+        find_hole(_ring(6))
 
 
 def test_triangle_free_square():

@@ -1,12 +1,14 @@
 """The benchmark's own files use pglab.  perfbench/tracing.py patches pglab
 names given as strings and reads reductions through `GroupBundle.reduction`;
 perfbench/check.py replays witnesses on a `Graph` given by vertex rows, with
-`verify_witness`.  These tests run both on small inputs, so a refactor that
-renames or moves what they use fails here, not only in perfbench/tests,
-which this suite does not run."""
+`verify_witness`, and holds every report to a digest in
+perfbench/reference.json.  These tests run them in-process, so a refactor
+that renames or moves what they use, or changes a report, fails here, not
+only in perfbench/tests, which this suite does not run."""
 
 import importlib.util
 import os
+import random
 
 from pglab.harness import Corpus, CorpusEntry, Harness, analyze_group
 from pglab.constructors import parse_group_spec
@@ -63,3 +65,23 @@ def test_benchmark_replays_a_witness(monkeypatch):
     other = next(k for k, w in doc["patterns"].items() if w is None)
     wrong = dict(doc, patterns={other: witness})
     assert "induces none" in replay.problems(check.Item("PSL(2,7)*", 0.0, wrong))[0]
+
+
+def test_reports_match_the_benchmark_reference(monkeypatch):
+    """One pass of each workload (`pg verify all --json`, verify-large's three
+    cases on perfbench/large.corpus, the analyze-mix requests) gives every
+    digest in perfbench/reference.json, and no other."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    check = _load("check")
+    workloads = importlib.import_module("workloads")  # as check.py imports it
+    digests = {}
+    for name, workload_cls in workloads.WORKLOADS.items():
+        workload = workload_cls()
+        workload.setup()
+        for item in workload.run_pass(random.Random(0)).items:
+            assert item.error is None, f"{name}/{item.key}: {item.error}"
+            digests.update(check.item_digests(name, item))
+    reference = check.load_reference()
+    assert len(reference) == 695
+    assert {k for k in reference.keys() | digests.keys()
+            if digests.get(k) != reference.get(k)} == set()
