@@ -41,7 +41,12 @@ def resolve_cap(cap: int | None = None) -> int:
 
 
 class Group:
-    """A finite group over indexed payloads with composition by index."""
+    """A finite group over indexed payloads with composition by index.
+
+    `elements` lists the payloads in index order.  It may also be a dict from
+    each payload to its index, in index order, as `close_generators` builds
+    it; that dict then serves as the index itself.
+    """
 
     def __init__(
         self,
@@ -51,9 +56,12 @@ class Group:
         render_payload: Callable[[Payload], str] | None = None,
     ) -> None:
         self._elements: tuple[Payload, ...] = tuple(elements)
-        self._index: dict[Payload, int] = {e: i for i, e in enumerate(self._elements)}
-        if len(self._index) != len(self._elements):
-            raise ValueError("duplicate payloads in element list")
+        if isinstance(elements, dict):
+            self._index: dict[Payload, int] = elements  # built by close_generators
+        else:
+            self._index = {e: i for i, e in enumerate(self._elements)}
+            if len(self._index) != len(self._elements):
+                raise ValueError("duplicate payloads in element list")
         self._compose_payloads = compose_payloads
         self.label = label
         self._render = render_payload or repr
@@ -156,7 +164,7 @@ def close_generators(
                     new_frontier.append(index[prod])
         frontier = new_frontier
 
-    return Group(elements, compose_payloads, label, render_payload)
+    return Group(index, compose_payloads, label, render_payload)
 
 
 # ---------------------------------------------------------------------------

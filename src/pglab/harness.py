@@ -193,7 +193,17 @@ class VerificationReport:
 
 
 def _json_fields(fields: list[tuple[str, object]]) -> dict:
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in fields}
+    return {k: _json_value(v) for k, v in fields}
+
+
+def _json_value(value):
+    """`value` as JSON reads it back: tuples as lists and dict keys as
+    strings, all the way down."""
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _json_value(v) for k, v in value.items()}
+    return value
 
 
 class Harness:
@@ -218,7 +228,8 @@ class Harness:
     def run_case(self, theorem_id: str) -> VerificationReport:
         case = CASES.get(theorem_id)
         if case is None:
-            raise ValueError(f"unknown theorem id {theorem_id!r}")
+            raise ValueError(f"unknown case {theorem_id!r}; "
+                             f"available: {', '.join(THEOREM_IDS)}")
         start = time.monotonic()
         records = []
         for label, bundle, rhs_args in self._subjects(case):
@@ -287,23 +298,12 @@ class AnalysisReport:
     graph: Graph = field(repr=False, compare=False)  # the graph analyzed
 
     def to_dict(self) -> dict:
+        flags = asdict(self.flags, dict_factory=_json_fields)
         return {
             "group": self.label,
-            "order": self.flags.order,
-            "factorization": [list(pe) for pe in self.flags.factorization],
-            "flags": {
-                "is_p_group": self.flags.is_p_group,
-                "is_cyclic": self.flags.is_cyclic,
-                "is_nilpotent": self.flags.is_nilpotent,
-                "is_eppo": self.flags.is_eppo,
-                "is_epo": self.flags.is_epo,
-                "is_exponent2_2group": self.flags.is_exponent2_2group,
-                "exponent": self.flags.exponent,
-                "order_profile": [list(oc) for oc in self.flags.order_profile],
-                "normal_sylow": {str(p): v for p, v in sorted(self.flags.normal_sylow.items())},
-                "sylow_cyclic": {str(p): v for p, v in sorted(self.flags.sylow_cyclic.items())},
-                "sylow_exponent": {str(p): v for p, v in sorted(self.flags.sylow_exponent.items())},
-            },
+            "order": flags.pop("order"),
+            "factorization": flags.pop("factorization"),
+            "flags": flags,
             "proper": self.proper,
             "prime_graph": {
                 "primes": list(self.flags.primes),

@@ -228,6 +228,9 @@ def find_hole(g: Graph | TwinReducedGraph, parity: str = "any",
     parity: 'any', 'even', or 'odd'.  The witness pattern name is C<length>
     and its vertices are in cycle order.  Deterministic: the cycle found has
     the smallest possible minimum vertex, then follows ascending-id DFS.
+    The DFS extends a path only while some hole can still close it, which
+    ignores parity, so an 'odd' search may still take exponential time: on
+    P*(S6) and P*(E3^2 x D4) it runs for more than 20 s.
     """
     if parity not in ("any", "even", "odd"):
         raise ValueError(f"parity must be any/even/odd, got {parity!r}")
@@ -278,7 +281,13 @@ def _hole_dfs(s: Graph, start: int, v1: int, above: int, min_len: int,
               parity_ok) -> list[int] | None:
     """Depth-first over induced paths start, v1, ...: at each path, first the
     smallest closing vertex w > v1, then the extensions in ascending order.
-    Iterative, so the path length is not bounded by the recursion limit."""
+    Iterative, so the path length is not bounded by the recursion limit.
+
+    A path's extensions are pushed only if some closing vertex can still be
+    reached from its end (`_can_close`), so a subtree with no hole is not
+    entered and the first hole found is the one found without the cut.  The
+    cut ignores length and parity: an `odd` search on a graph whose holes are
+    all even still enters every subtree that holds a hole."""
     adj = s.adj
     past_v1 = above & ~((1 << (v1 + 1)) - 1)
     path = [start, v1]
@@ -287,11 +296,14 @@ def _hole_dfs(s: Graph, start: int, v1: int, above: int, min_len: int,
     pending: list[int] = []  # pending[i]: untried extensions of path[:i + 2]
     while True:
         vk, length, block = path[-1], len(path) + 1, blocked[-1]
-        if length >= min_len and parity_ok(length):
-            close = adj[vk] & adj[start] & past_v1 & ~block & ~path_mask
-            if close:
-                return path + [(close & -close).bit_length() - 1]
-        pending.append(adj[vk] & above & ~adj[start] & ~block & ~path_mask)
+        free = ~block & ~path_mask
+        ends = adj[start] & past_v1 & free
+        close = adj[vk] & ends
+        if close and length >= min_len and parity_ok(length):
+            return path + [(close & -close).bit_length() - 1]
+        inner = above & ~adj[start] & free
+        step = adj[vk] & inner
+        pending.append(step if step and _can_close(adj, step, inner, ends) else 0)
         while not pending[-1]:
             pending.pop()
             if not pending:
@@ -303,3 +315,21 @@ def _hole_dfs(s: Graph, start: int, v1: int, above: int, min_len: int,
         blocked.append(blocked[-1] | adj[path[-1]])
         path.append(low.bit_length() - 1)
         path_mask |= low
+
+
+def _can_close(adj: list[int], step: int, inner: int, ends: int) -> bool:
+    """Whether some vertex of `ends` is adjacent to a vertex reached from
+    `step` through `inner`: a bitset BFS.  Every extension of the path lies
+    in `inner`, a hole closes on a vertex of `ends`, and both sets only
+    shrink as the path grows, so a path that fails this has no hole below it
+    (the chordless-cycle cut of Uno and Satoh 2014)."""
+    seen = frontier = step
+    while frontier:
+        reach = 0
+        for u in _bits(frontier):
+            reach |= adj[u]
+        if reach & ends:
+            return True
+        frontier = reach & inner & ~seen
+        seen |= frontier
+    return False

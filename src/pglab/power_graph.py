@@ -1,7 +1,10 @@
 """Undirected graphs on group elements, stored as Python-int bitsets.
 
 A `Graph` is kept as a clique quotient (see `Graph`); one given by vertex
-rows alone is stored as singleton blocks.  A vertex row is filled from the
+rows alone is stored as singleton blocks.  Its blocks are stored flat, as a
+`Partition`: `members` holds every vertex, block by block, each block
+ascending, and block b is `members[start[b]:start[b + 1]]`, so a graph holds
+no Python int per vertex but its row slot.  A vertex row is filled from the
 quotient when first read, by `Graph.row(v)`, which fills v's whole block;
 `Graph.adj` fills every row through `row`.  So a graph that is only
 reduced and searched holds just the rows its searches read; `has_edge` and
@@ -36,18 +39,21 @@ long collision chains.  The closed sort leaves out the blocks with no
 neighbour; `twin_reduce` says why.  An induced copy of a pattern H meets a
 class in at most m(H) vertices, the size of H's own largest twin class, so
 a search for H needs only the first m(H) members of each class;
-`TwinReducedGraph.rank_masks` marks them.  The search graph shares the graph's quotient, each block cut
-to its retained members, so the reduction builds no rows.  Witnesses
-translate straight back because representatives are original vertex ids.
+`TwinReducedGraph.rank_masks` marks them.  The search graph shares the
+graph's quotient, each block cut to its retained members, so the reduction
+builds no rows; its cut, classes, retained ids and degrees are flat arrays.
+Witnesses translate straight back because representatives are original
+vertex ids.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Sequence
+from array import array
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import pairwise
+from itertools import accumulate, pairwise
 
 from .group_kernel import Group
 
@@ -68,51 +74,86 @@ def _mask(flags: list[bool]) -> int:
     return int("".join("01"[f] for f in reversed(flags)) or "0", 2)
 
 
+class Partition:
+    """Disjoint sets of ints stored flat in two `array('i')`: set i is
+    `members[start[i]:start[i + 1]]`, so no Python list or int is kept per
+    set or per member."""
+
+    def __init__(self, parts: Iterable[Iterable[int]] = ()) -> None:
+        self.members = array("i")
+        self.start = array("i", [0])
+        for part in parts:
+            self.members.extend(part)
+            self.start.append(len(self.members))
+
+    def __len__(self) -> int:
+        return len(self.start) - 1
+
+    def __getitem__(self, i: int) -> array:
+        return self.members[self.start[i]:self.start[i + 1]]
+
+    def __iter__(self) -> Iterator[array]:
+        return (self.members[lo:hi] for lo, hi in pairwise(self.start))
+
+
 class Graph:
     """Immutable-by-convention undirected graph, stored as a clique quotient.
 
-    `blocks` partition the vertices into cliques whose members share one
+    The blocks partition the vertices into cliques whose members share one
     closed neighbourhood; a search graph's may be empty (see `twin_reduce`),
-    and the others ascend by least member.  `adjacency[b]` is the bitmask of
-    the blocks joined to block b, every member to every member.  Without
-    `blocks` every vertex is a block of its own (singleton blocks), so
-    `adjacency[v]` is the bitmask of v's neighbours.  Rows are filled only by
-    `row`, when first read.  `labels` is either the list of vertex labels
-    or a function that renders the label of vertex v on demand; by default
-    vertex v is labelled str(v).
+    and the others ascend by least member.  They are kept flat: `members`
+    holds every vertex, block by block, each block ascending; block b is
+    `block(b)`, that is `members[start[b]:start[b + 1]]`; and `block_of[v]`
+    is v's block.  `adjacency[b]` is the bitmask of the blocks joined to
+    block b, every member to every member.  `blocks` is a `Partition` or a
+    list of blocks; without it every vertex is a block of its own (singleton
+    blocks), so `adjacency[v]` is the bitmask of v's neighbours.  Rows are
+    filled only by `row`, when first read.  `labels` is either the list of
+    vertex labels or a function that renders the label of vertex v on
+    demand; by default vertex v is labelled str(v).
     """
 
     def __init__(self, adjacency: list[int],
                  labels: Sequence[str] | Callable[[int], str] = str,
-                 blocks: list[list[int]] | None = None) -> None:
+                 blocks: Partition | Iterable[Iterable[int]] | None = None) -> None:
         if blocks is None:
-            blocks = [[v] for v in range(len(adjacency))]
+            blocks = ((v,) for v in range(len(adjacency)))
+        if not isinstance(blocks, Partition):
+            blocks = Partition(blocks)
         self.quotient: list[int] = adjacency
-        self.blocks: list[list[int]] = blocks
-        self.block_of: list[int] = [0] * sum(map(len, blocks))
-        for b, members in enumerate(blocks):
-            for v in members:
-                self.block_of[v] = b
+        self.members: array = blocks.members
+        self.start: array = blocks.start
+        self.n: int = len(self.members)
+        self.block_of: array = array("i", bytes(4 * self.n))
+        owner = [b for b, (lo, hi) in enumerate(pairwise(self.start)) for _ in range(lo, hi)]
+        for v, b in zip(self.members, owner):
+            self.block_of[v] = b
         # _rows[v]: v's row, or None until it is first read.
-        self._rows: list[int | None] = [None] * len(self.block_of)
-        self.n: int = len(self.block_of)
+        self._rows: list[int | None] = [None] * self.n
         if not callable(labels):
             if len(labels) != self.n:
                 raise ValueError("label count does not match vertex count")
             labels = labels.__getitem__
         self.label: Callable[[int], str] = labels
 
+    def block(self, b: int) -> array:
+        """Block b's members, ascending."""
+        return self.members[self.start[b]:self.start[b + 1]]
+
     def row(self, v: int) -> int:
         """The bitmask of v's neighbours.  A row not read before is filled
         from the quotient, with the rows of v's block-mates."""
         row = self._rows[v]
         if row is None:
+            members, start = self.members, self.start
             b = self.block_of[v]
             closed = 0
+            # The slices are `block(d)` inlined: a call per block costs a
+            # fifth more on the rows of PSL(2,27)* and A7*.
             for d in (b, *_bits(self.quotient[b])):
-                for u in self.blocks[d]:
+                for u in members[start[d]:start[d + 1]]:
                     closed |= 1 << u
-            for u in self.blocks[b]:
+            for u in self.block(b):
                 self._rows[u] = closed ^ 1 << u
             row = self._rows[v]
         return row
@@ -120,9 +161,9 @@ class Graph:
     @cached_property
     def adj(self) -> list[int]:
         """adj[v]: the bitmask of v's neighbours, every row filled by `row`."""
-        for members in self.blocks:
-            if members:
-                self.row(members[0])
+        for lo, hi in pairwise(self.start):
+            if lo < hi:
+                self.row(self.members[lo])
         return self._rows
 
     @property
@@ -152,25 +193,28 @@ def build_power_graph(group: Group, proper: bool = False) -> Graph:
     dropped and the remaining vertices shift down by one.
     """
     sub_of = [0] * group.order  # element -> block of the subgroup it generates
-    blocks: list[list[int]] = []
-    below: list[list[int]] = []  # per block: generators of its proper subgroups
+    blocks = Partition()
+    add, end = blocks.members.extend, blocks.start.append
+    # below_x[i] generates a proper subgroup of block below_c[i]'s subgroup.
+    below_c, below_x = array("i"), array("i")
     for generators, members in group.cyclic_subgroups():
         o = len(members)
         if o == 1:
             continue  # the trivial subgroup, which holds only the identity
+        c = len(blocks)
         for g in generators:
-            sub_of[g] = len(blocks)
-        blocks.append(sorted(g - 1 for g in generators))
+            sub_of[g] = c
+        add(sorted([g - 1 for g in generators]))
+        end(len(blocks.members))
         # members[d - 1] = u^d generates the subgroup of <u> of order o / d.
-        below.append([members[d - 1] for d in range(2, o) if o % d == 0])
+        powers = [members[d - 1] for d in range(2, o) if o % d == 0]
+        below_x.extend(powers)
+        below_c.extend([c] * len(powers))
     quotient = [0] * len(blocks)
-    for c, powers in enumerate(below):
-        down = 0
-        for x in powers:
-            down |= 1 << sub_of[x]
-        quotient[c] |= down
-        for d in _bits(down):
-            quotient[d] |= 1 << c
+    for c, x in zip(below_c, below_x):
+        d = sub_of[x]
+        quotient[c] |= 1 << d
+        quotient[d] |= 1 << c
     star = Graph(quotient, lambda v: group.render(v + 1), blocks)
     return star if proper else with_identity(star, group.render(0))
 
@@ -178,9 +222,11 @@ def build_power_graph(group: Group, proper: bool = False) -> Graph:
 def with_identity(star: Graph, label: str) -> Graph:
     """P(G) from P*(G): a new vertex 0, the identity, a block of its own
     adjacent to every other vertex; vertex i of P*(G) becomes vertex i+1."""
+    blocks = Partition([[0]])
+    blocks.members.extend(v + 1 for v in star.members)
+    blocks.start.extend(s + 1 for s in star.start[1:])
     return Graph([(1 << len(star.quotient) + 1) - 2] + [row << 1 | 1 for row in star.quotient],
-                 lambda v: star.label(v - 1) if v else label,
-                 [[0]] + [[v + 1 for v in members] for members in star.blocks])
+                 lambda v: star.label(v - 1) if v else label, blocks)
 
 
 @dataclass
@@ -188,13 +234,13 @@ class TwinReducedGraph:
     """Result of twin reduction over interchangeability classes."""
 
     original: Graph
-    classes: list[list[int]]        # sorted members, classes sorted by min member
-    retained: list[int]             # representative original-vertex ids, sorted
+    classes: Partition              # sorted members, classes sorted by min member
+    retained: array                 # representative original-vertex ids, sorted
     graph: Graph = field(repr=False)  # induced on retained, search-ready
     # rank_masks[m]: search-graph vertices among the first m members of their
     # class, for m = 0..RETAIN.
     rank_masks: list[int] = field(repr=False)
-    degrees: list[int] = field(repr=False)  # degrees[i]: search-graph vertex i's degree
+    degrees: array = field(repr=False)  # degrees[i]: search-graph vertex i's degree
     _degree_masks: dict[int, int] = field(default_factory=dict, init=False,
                                           repr=False, compare=False)
 
@@ -232,16 +278,17 @@ def twin_reduce(graph: Graph) -> TwinReducedGraph:
     retained, the search graph is the graph itself.  Every catalog pattern
     and induced cycles of any length survive the reduction.
     """
-    rows, blocks = graph.quotient, graph.blocks
-    live = [b for b, members in enumerate(blocks) if members]
+    rows = graph.quotient
+    size = [hi - lo for lo, hi in pairwise(graph.start)]  # size[b]: block b's members
+    live = [b for b, k in enumerate(size) if k]
     if len(live) < len(rows):
-        full = _mask([bool(members) for members in blocks])
+        full = _mask([k > 0 for k in size])
         rows = [row & full for row in rows]
     run_of: list[list[int] | None] = [None] * len(rows)
     # An isolated block gets no closed key (see the docstring).
     closed = [row and row | 1 << b for b, row in enumerate(rows)]
     linked = [b for b in live if rows[b]]
-    singles = [b for b in live if len(blocks[b]) == 1]
+    singles = [b for b in live if size[b] == 1]
     for keys, vertices in ((closed, linked), (rows, singles)):
         for a, b in pairwise(sorted(vertices, key=keys.__getitem__)):
             if keys[a] == keys[b]:
@@ -251,30 +298,47 @@ def twin_reduce(graph: Graph) -> TwinReducedGraph:
                 run_of[b] = run_of[a]
     # Blocks ascend by least member, so classes taken in the order of their
     # least block ascend by least member too.
-    classes = [blocks[b] if run_of[b] is None
-               else sorted(v for c in run_of[b] for v in blocks[c])
-               for b in live if run_of[b] is None or run_of[b][0] == b]
-    rank = {v: r for ms in classes for r, v in enumerate(ms[:RETAIN])}
-    retained = sorted(rank)
+    members, start = graph.members, graph.start
+    classes = Partition()
+    add, end = classes.members.extend, classes.start.append
+    for b in live:
+        run = run_of[b]
+        if run is None:
+            add(members[start[b]:start[b + 1]])
+        elif run[0] == b:
+            add(sorted(v for c in run for v in graph.block(c)))
+        else:
+            continue
+        end(len(classes.members))
+    # rank[v]: v's rank in its class, for the first RETAIN members of each.
+    rank = {classes.members[i]: i - lo for lo, hi in pairwise(classes.start)
+            for i in range(lo, min(hi, lo + RETAIN))}
+    retained = array("i", sorted(rank))
     rank_masks = [_mask([rank[v] < m for v in retained]) for m in range(RETAIN + 1)]
-    cut: list[list[int]] = [[] for _ in rows]  # cut[b]: block b's search vertices
-    for i, v in enumerate(retained):
-        cut[graph.block_of[v]].append(i)
+    if len(retained) == graph.n:
+        search, kept = graph, size
+    else:
+        # The search graph's blocks: block b cut to its retained members,
+        # renumbered by rank in `retained` (a stable sort by block).
+        block = [graph.block_of[v] for v in retained]
+        kept = [0] * len(rows)  # kept[b]: block b's retained members
+        for b in block:
+            kept[b] += 1
+        cut = Partition()
+        cut.members.extend(sorted(range(len(block)), key=block.__getitem__))
+        cut.start.extend(accumulate(kept))
+        search = Graph(graph.quotient, lambda k: graph.label(retained[k]), cut)
     # A search vertex's degree: the search vertices in its block's closed
     # neighbourhood, less itself.
-    degree = [len(own) - 1 + sum(len(cut[d]) for d in _bits(rows[b])) if own else 0
-              for b, own in enumerate(cut)]
-    if len(retained) == graph.n:
-        search = graph
-    else:
-        search = Graph(graph.quotient, lambda k: graph.label(retained[k]), cut)
+    degree = [k - 1 + sum(kept[d] for d in _bits(rows[b])) if k else 0
+              for b, k in enumerate(kept)]
     return TwinReducedGraph(
         original=graph,
         classes=classes,
         retained=retained,
         graph=search,
         rank_masks=rank_masks,
-        degrees=[degree[graph.block_of[v]] for v in retained],
+        degrees=array("i", map(degree.__getitem__, search.block_of)),
     )
 
 

@@ -5,9 +5,10 @@ explicit power enumeration (for `reference_power_graph`, one walk over
 every element's powers), pattern detection from direct k-subset
 enumeration against permutation-closed edge-mask tables, and hole/chordality
 checks from subset enumeration.  Slow on purpose; kept honest on purpose.
-One exception: `reference_find_induced_pattern` is the package's backtracker
-without its distance-two look-ahead, the reference that cut is checked
-against on graphs too large to enumerate.
+Two exceptions: `reference_find_induced_pattern` is the package's
+backtracker without its distance-two look-ahead, and `reference_find_hole`
+is its hole search without its reachability cut; each is the reference its
+cut is checked against on graphs too large to enumerate.
 
 The last section is different: it keeps, as free functions, graph and group
 helpers that the package no longer calls, for the tests written against
@@ -18,6 +19,7 @@ import math
 from collections import Counter
 from functools import cache
 from itertools import combinations, pairwise, permutations
+from unittest import mock
 
 from hypothesis import strategies as st
 
@@ -26,6 +28,7 @@ from pglab import (PATTERNS, Graph, TwinReducedGraph, Witness, find_hole,
 from pglab.classifiers import is_prime_power
 from pglab.finite_field import construct_field, index_tables, primitive_element
 from pglab.group_kernel import CapExceededError, Group, close_generators
+from pglab import patterns
 from pglab.patterns import _as_reduction, _mcs_is_chordal
 from pglab.power_graph import RETAIN
 
@@ -147,6 +150,44 @@ def reference_twin_reduce(graph):
     search = induced(graph, retained)
     return TwinReducedGraph(graph, classes, retained, search, rank_masks,
                             [row.bit_count() for row in search.adj])
+
+
+# -- hole search without its reachability cut ---------------------------------
+
+
+def reference_hole_dfs(s, start, v1, above, min_len, parity_ok):
+    """`patterns._hole_dfs` as it was before its reachability cut: every
+    induced path start, v1, ... is extended, whether or not it can close."""
+    adj = s.adj
+    past_v1 = above & ~((1 << (v1 + 1)) - 1)
+    path = [start, v1]
+    path_mask = (1 << start) | (1 << v1)
+    blocked = [0]  # blocked[i]: union of neighborhoods of path[1:i + 1]
+    pending = []  # pending[i]: untried extensions of path[:i + 2]
+    while True:
+        vk, length, block = path[-1], len(path) + 1, blocked[-1]
+        if length >= min_len and parity_ok(length):
+            close = adj[vk] & adj[start] & past_v1 & ~block & ~path_mask
+            if close:
+                return path + [(close & -close).bit_length() - 1]
+        pending.append(adj[vk] & above & ~adj[start] & ~block & ~path_mask)
+        while not pending[-1]:
+            pending.pop()
+            if not pending:
+                return None
+            path_mask ^= 1 << path.pop()
+            blocked.pop()
+        low = pending[-1] & -pending[-1]
+        pending[-1] ^= low
+        blocked.append(blocked[-1] | adj[path[-1]])
+        path.append(low.bit_length() - 1)
+        path_mask |= low
+
+
+def reference_find_hole(g, parity="any", min_len=4):
+    """`find_hole` with `reference_hole_dfs` in place of the cut search."""
+    with mock.patch.object(patterns, "_hole_dfs", reference_hole_dfs):
+        return find_hole(g, parity=parity, min_len=min_len)
 
 
 # -- naive induced-pattern search ----------------------------------------------

@@ -42,3 +42,42 @@ def test_correct_run_is_recorded(tmp_path):
     tree = _tree(tmp_path, f"print({json.dumps(json.dumps(result))})\n")
     record = bench_pairs.run(tree, "0123456789", "verify-large", 3, 1, 0)
     assert record["result"] == result and record["seed"] == 3
+
+
+def _records(workload, base_values, change_values, metric="peak_rss_mb"):
+    """Untraced records, seeds 1, 2, ..., for both sides, plus a traced
+    record that the summary must leave out."""
+    out = []
+    for commit, values in (("base", base_values), ("base+", change_values)):
+        for seed, value in enumerate(values, 1):
+            out.append({"commit": commit, "workload": workload, "trace": 0, "seed": seed,
+                        "result": {"metrics": {metric: {"value": value}}}})
+        out.append({"commit": commit, "workload": workload, "trace": 1, "seed": 1,
+                    "result": {"metrics": {"trace.wall_s": {"value": 9.0}}}})
+    return out
+
+
+_BENCHMARK = {"workloads": [{"name": "verify-large"}, {"name": "analyze-mix"}],
+              "end_to_end": [{"name": "peak_rss_mb", "better": "lower", "bound": 0.25}]}
+
+
+def test_summary_rows_give_medians_wins_gain_and_bound():
+    base = [50.0 + i for i in range(10)]
+    records = (_records("verify-large", base, [v - 10 for v in base[:9]] + [70.0])
+               + _records("analyze-mix", [10.0] * 10, [13.0] * 10))
+    header, large, mix = bench_pairs.summary(records, "base", _BENCHMARK)
+    assert header.split()[:2] == ["workload", "metric"]
+    assert large.split()[:5] == ["verify-large", "peak_rss_mb", "54.5", "[52.25,", "56.75]"]
+    # One pair lost, and a 10 MB gap against a 4.5 MB base spread.
+    assert large.split()[5:] == ["44.5", "[42.25,", "46.75]", "9/10", "yes", "holds"]
+    # 30% worse on every pair: no gain, and past the 0.25 bound.
+    assert mix.split()[8:] == ["0/10", "no", "FAILS"]
+
+
+def test_summary_needs_nine_wins_in_ten_and_a_gap_wider_than_the_base_spread():
+    base = [50.0, 60.0] * 5  # quartiles 50 and 60: a 10 MB spread
+    records = (_records("verify-large", base, [v - 5 for v in base])
+               + _records("analyze-mix", [10.0] * 10, [9.0] * 8 + [11.0] * 2))
+    _, large, mix = bench_pairs.summary(records, "base", _BENCHMARK)
+    assert large.split()[-3:] == ["10/10", "no", "holds"]  # a 5 MB gap
+    assert mix.split()[-3:] == ["8/10", "no", "holds"]  # 8 wins

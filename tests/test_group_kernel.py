@@ -9,6 +9,7 @@ from pglab import build_group, close_generators
 from pglab.group_kernel import (
     DEFAULT_GROUP_CAP,
     CapExceededError,
+    Group,
     compose_permutations,
     identity_permutation,
     permutation_from_cycles,
@@ -177,6 +178,26 @@ def test_close_generators_s3():
     assert g.payload(1) == swap
     assert g.payload(2) == cycle
     assert sorted(g.element_orders()) == [1, 2, 2, 2, 3, 3]
+
+
+def test_closure_hands_its_index_to_the_group(monkeypatch):
+    """The closure's payload -> index dict, built in element order, is the
+    group's index; no second one is built."""
+    given = []
+    init = Group.__init__
+    monkeypatch.setattr(Group, "__init__",
+                        lambda group, elements, *rest: given.append(elements)
+                        or init(group, elements, *rest))
+    g = close_generators([permutation_from_cycles(4, [(1, 2, 3, 4)]),
+                          permutation_from_cycles(4, [(1, 3)])],
+                         compose_permutations, identity_permutation(4))
+    assert g._index is given[0]
+    assert all(g.index_of(g.payload(i)) == i for i in range(g.order)) and g.order == 8
+
+
+def test_group_rejects_duplicate_payloads():
+    with pytest.raises(ValueError, match="duplicate payloads"):
+        Group([0, 1, 1], lambda a, b: (a + b) % 2, "bad")
 
 
 def test_close_generators_respects_cap():

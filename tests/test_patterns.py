@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pglab import (
     PATTERNS,
@@ -26,6 +28,7 @@ from naive_oracle import (
     naive_first_witness,
     naive_hole_lengths,
     naive_pattern_presence,
+    reference_find_hole,
     reference_find_induced_pattern,
     small_graphs,
 )
@@ -353,6 +356,38 @@ def test_reduced_search_finds_the_unreduced_first_witness():
                         == find_hole(whole, parity=parity, min_len=min_len)), (
                     trial, parity, min_len, g.adj)
     assert large_classes >= 30
+
+
+@pytest.mark.parametrize("spec", DEFAULT_CORPUS_SPECS + ("C3xC4xC2", "C4xC9"))
+def test_cut_hole_search_matches_the_uncut_search(spec):
+    """The reachability cut drops only subtrees with no hole, so every
+    search returns the uncut search's first hole.  S6 has holes but no odd
+    one within reach of either search: its odd search is left out, since it
+    enumerates every induced path with the cut and without it."""
+    red = twin_reduce(build_power_graph(build_group(spec), proper=True))
+    for parity in ("any", "even") if spec == "S6" else ("any", "even", "odd"):
+        for min_len in (4, 6):
+            assert (find_hole(red, parity=parity, min_len=min_len)
+                    == reference_find_hole(red, parity=parity, min_len=min_len)), (
+                parity, min_len)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.sampled_from(("any", "even", "odd")), st.integers(3, 6))
+def test_cut_hole_search_matches_the_uncut_search_on_small_graphs(graph, parity, min_len):
+    assert (find_hole(graph, parity=parity, min_len=min_len)
+            == reference_find_hole(graph, parity=parity, min_len=min_len))
+
+
+def test_hole_search_cuts_paths_that_cannot_close():
+    """P*(E3^2 x D4) holds a C8 that the uncut search took about 12 s to
+    reach: it explored every induced path from the first start vertex."""
+    red = twin_reduce(build_power_graph(build_group("E3^2xD4"), proper=True))
+    began = time.perf_counter()
+    w = find_hole(red, parity="even")
+    assert time.perf_counter() - began < 1.0
+    assert w.pattern == "C8" and w.vertices == (0, 8, 7, 9, 1, 25, 23, 24)
+    assert find_hole(red) == w
 
 
 def test_hole_search_against_naive_enumeration():

@@ -2,6 +2,7 @@ import json
 import os
 import tracemalloc
 from collections import Counter
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -184,8 +185,8 @@ def test_connectivity():
 
 def test_twin_classes_of_p_c6():
     red = twin_reduce(build_power_graph(build_group("C6")))
-    assert red.classes == [[0, 1, 5], [2, 4], [3]]
-    assert red.retained == [0, 1, 2, 3, 4, 5]
+    assert _lists(red.classes) == [[0, 1, 5], [2, 4], [3]]
+    assert list(red.retained) == [0, 1, 2, 3, 4, 5]
 
 
 def test_twin_reduce_caps_class_size():
@@ -193,7 +194,7 @@ def test_twin_reduce_caps_class_size():
     red = twin_reduce(graph)
     assert len(red.classes) == 2  # {identity} and the 15 open-twin involutions
     assert RETAIN == 3
-    assert red.retained == [0, 1, 2, 3]  # the identity and 3 involutions
+    assert list(red.retained) == [0, 1, 2, 3]  # the identity and 3 involutions
     # rank_masks[m]: the first m retained members of each class
     assert red.rank_masks == [0b0000, 0b0011, 0b0111, 0b1111]
 
@@ -204,6 +205,11 @@ def test_twin_reduce_maps_every_vertex():
     for v in range(graph.n):
         assert sum(v in cls for cls in red.classes) == 1
     assert sorted(v for cls in red.classes for v in cls) == list(range(graph.n))
+
+
+def _lists(parts):
+    """Sets of ints, as read from a `Partition` or a list, as lists."""
+    return [list(part) for part in parts]
 
 
 def _bits(row):
@@ -217,10 +223,10 @@ def _check_against_oracle(graph, classes):
     """Every field of twin_reduce(graph), given the expected classes."""
     red = twin_reduce(graph)
     assert red.original is graph
-    assert red.classes == classes
+    assert _lists(red.classes) == classes
     for ci, members in enumerate(classes):
         assert all(v in red.classes[ci] for v in members)
-    assert red.retained == sorted(v for ms in classes for v in ms[:RETAIN])
+    assert list(red.retained) == sorted(v for ms in classes for v in ms[:RETAIN])
     s = red.graph
     assert s.n == len(red.retained)
     pos = {v: i for i, v in enumerate(red.retained)}
@@ -246,7 +252,7 @@ def test_twin_reduce_on_sparse_rows_of_20000_vertices():
     each edge is a class of closed twins."""
     n = 20_000
     red = _check_against_oracle(Graph([0] * n), [list(range(n))])
-    assert red.retained == [0, 1, 2]
+    assert list(red.retained) == [0, 1, 2]
     matching = Graph([1 << (v ^ 1) for v in range(n)])
     red = _check_against_oracle(matching, [[v, v + 1] for v in range(0, n, 2)])
     assert red.graph is matching
@@ -262,16 +268,33 @@ def test_twin_reduce_memory_is_linear_on_an_edgeless_quotient():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert red.retained == [0, 1, 2]
+    assert list(red.retained) == [0, 1, 2]
     assert peak < 2**20
 
 
+def test_power_graph_and_reduction_hold_no_int_per_vertex():
+    """P*(E3^9) is 9,841 two-vertex blocks with no edge between them.  Its
+    blocks, block map, classes, retained ids and degrees are flat arrays of
+    4 bytes per vertex, so the graph and its reduction hold under 1 MB; one
+    list of Python ints per block or class held over 3 MB."""
+    group = build_group("E3^9", LARGE_CAP)
+    tracemalloc.start()
+    try:
+        graph = build_power_graph(group, proper=True)
+        red = twin_reduce(graph)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert graph.n == 19_682 and len(red.classes) == 9_841 and red.graph is graph
+    assert held < 1_000_000
+
+
 def _assert_same_reduction(red, ref):
-    assert red.classes == ref.classes
-    assert red.retained == ref.retained
+    assert _lists(red.classes) == _lists(ref.classes)
+    assert list(red.retained) == list(ref.retained)
     assert red.rank_masks == ref.rank_masks
     assert red.graph.adj == ref.graph.adj
-    assert red.degrees == ref.degrees
+    assert list(red.degrees) == list(ref.degrees)
 
 
 @pytest.mark.parametrize("spec", sorted(set(DEFAULT_CORPUS_SPECS + PRODUCT_SUBCORPUS_SPECS
@@ -343,6 +366,37 @@ def test_rows_filled_on_demand_match_reference(graphs, data):
         assert [graph.row(v) for v in order] == [rows[v] for v in order]
 
 
+def _assert_flat_blocks(graph):
+    """`members`, `start` and `block_of` agree: every vertex lies in exactly
+    one block, each block ascends, and non-empty blocks ascend by least
+    member."""
+    members, start = list(graph.members), list(graph.start)
+    assert sorted(members) == list(range(graph.n))
+    assert start[0] == 0 and start[-1] == graph.n and start == sorted(start)
+    assert len(start) == len(graph.quotient) + 1
+    blocks = [members[lo:hi] for lo, hi in pairwise(start)]
+    assert [list(graph.block(b)) for b in range(len(blocks))] == blocks
+    assert all(block == sorted(block) for block in blocks)
+    least = [block[0] for block in blocks if block]
+    assert least == sorted(least)
+    assert all(graph.block_of[v] == b for b, block in enumerate(blocks) for v in block)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blown_up_graphs())
+def test_flat_blocks_agree(graphs):
+    blown, explicit = graphs
+    for graph in (blown, explicit, twin_reduce(blown).graph):
+        _assert_flat_blocks(graph)
+
+
+@pytest.mark.parametrize("spec", ["C1", "C12", "E2^4", "S4", "A5", "Q16"])
+def test_flat_blocks_of_power_graphs_agree(spec):
+    star = build_power_graph(build_group(spec), proper=True)
+    for graph in (star, build_power_graph(build_group(spec)), twin_reduce(star).graph):
+        _assert_flat_blocks(graph)
+
+
 def _assert_reduces_search_graph(search):
     """`twin_reduce` of a search graph, whose cut blocks may be empty, is
     the reduction of its explicit rows, and has no empty class."""
@@ -363,7 +417,7 @@ def test_reducing_a_search_graph_with_empty_blocks(spec):
     """P*(G) of these groups has a class holding blocks past its third
     member, so its search graph has empty blocks."""
     search = twin_reduce(build_power_graph(build_group(spec), proper=True)).graph
-    assert not all(search.blocks)
+    assert not all(search.block(b) for b in range(len(search.quotient)))
     _assert_reduces_search_graph(search)
 
 
@@ -381,7 +435,7 @@ def test_no_vertex_has_both_twin_kinds(spec):
 def test_reduction_retaining_every_vertex_shares_the_graph():
     graph = build_power_graph(build_group("C6"))
     red = twin_reduce(graph)
-    assert red.retained == list(range(graph.n))
+    assert list(red.retained) == list(range(graph.n))
     assert red.graph is graph
     capped = twin_reduce(build_power_graph(build_group("E2^4")))
     assert capped.graph is not capped.original

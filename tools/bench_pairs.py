@@ -5,7 +5,7 @@
 
 Run from the repository root.  The base commit is exported with
 ``git archive`` into a temporary directory.  For every workload in
-``perfbench/workloads.py`` and every seed, one untraced run
+``BENCHMARK.json`` and every seed, one untraced run
 (``perfbench/run.py --trace 0``) of the base and one of the working tree
 run back to back, the base first on even seeds and last on odd ones, so
 slow drifts of the machine hit both sides alike.  Then one
@@ -15,6 +15,13 @@ run is a fresh process.  The output is a JSON list of records
 line ``perfbench/run.py`` prints.  A run that exits non-zero, prints no
 result or reports a failed check stops the script with exit status 1, after
 printing that run's stderr tail.
+
+At the end it prints one row per workload and end-to-end metric of
+``BENCHMARK.json``: the base and change medians of the untraced runs with
+their quartiles, the pairs (same seed) the change won, whether the gain
+rule holds (at least 9 of 10 pairs won, and a median gap wider than the
+base's interquartile range) and whether the metric's bound holds (the
+change median no worse than the base median by more than ``bound`` of it).
 """
 
 from __future__ import annotations
@@ -22,12 +29,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("verify-default", "verify-large", "analyze-mix")
 
 
 def git(*args: str) -> str:
@@ -63,6 +70,38 @@ def run(tree: str, commit: str, workload: str, seed: int, seconds: float,
             "result": result}
 
 
+def summary(records: list[dict], base: str, benchmark: dict) -> list[str]:
+    """One row per workload and end-to-end metric, comparing the untraced
+    runs of `base` with the other side's, paired by seed."""
+    rows = [f"{'workload':<15} {'metric':<15} {'base median [q1, q3]':>27} "
+            f"{'change median [q1, q3]':>27} {'won':>6}  gain  bound"]
+    for workload in benchmark["workloads"]:
+        runs = [r for r in records if r["workload"] == workload["name"] and not r["trace"]]
+        for metric in benchmark["end_to_end"]:
+            sides = ({}, {})  # seed -> value, for the base and the change
+            for r in runs:
+                sides[r["commit"] != base][r["seed"]] = r["result"]["metrics"][metric["name"]]["value"]
+            seeds = sorted(sides[0].keys() & sides[1].keys())
+            if not seeds:
+                continue
+            sign = 1 if metric["better"] == "lower" else -1
+            (q1, med, q3), (c1, cmed, c3) = (
+                statistics.quantiles([side[s] for s in seeds], n=4, method="inclusive")
+                for side in sides)
+            won = sum(sign * (sides[1][s] - sides[0][s]) < 0 for s in seeds)
+            gain = 10 * won >= 9 * len(seeds) and sign * (med - cmed) > q3 - q1
+            bound = sign * (cmed - med) <= metric["bound"] * abs(med)
+            rows.append(f"{workload['name']:<15} {metric['name']:<15} "
+                        f"{_quartiles(med, q1, q3):>27} {_quartiles(cmed, c1, c3):>27} "
+                        f"{won:>3}/{len(seeds):<2}  {'yes' if gain else 'no':<4}  "
+                        f"{'holds' if bound else 'FAILS'}")
+    return rows
+
+
+def _quartiles(median: float, q1: float, q3: float) -> str:
+    return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="commit to compare against")
@@ -71,6 +110,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        benchmark = json.load(fh)
+    workloads = [w["name"] for w in benchmark["workloads"]]
     base = git("rev-parse", args.base)
     head = git("rev-parse", "HEAD")
     change = head + ("+" if git("status", "--porcelain", "--untracked-files=no") else "")
@@ -80,16 +122,17 @@ def main(argv: list[str] | None = None) -> int:
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         sides = ((tmp, base), (ROOT, change))
-        for workload in WORKLOADS:
+        for workload in workloads:
             for seed in seed_range(args.seeds):
                 for tree, commit in sides[::1 if seed % 2 == 0 else -1]:
                     records.append(run(tree, commit, workload, seed, args.seconds, 0))
-        for workload in WORKLOADS:
+        for workload in workloads:
             for tree, commit in sides:
                 records.append(run(tree, commit, workload, 1, args.seconds, 1))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1)
         fh.write("\n")
+    print("\n".join(summary(records, base, benchmark)))
     return 0
 
 
