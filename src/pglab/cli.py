@@ -7,7 +7,7 @@
     pg numbers psl2 <q> | sz <q>
 
 `verify` exits 0 iff every evaluated case agrees on both sides.
-PG_GROUP_CAP overrides the group-order cap; --allow-large raises it to 25200.
+PG_GROUP_CAP overrides the group-order cap; --allow-large lifts it to >= 25200.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import sys
 
 from .classifiers import psl2_side_numbers, sz_side_numbers, is_admissible_cyclic_order
+from .group_kernel import resolve_cap
 from .harness import Harness, analyze_group, default_corpus, load_corpus
 from .power_graph import export_graph
 
@@ -41,14 +42,14 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="write the selected power graph as dot or json")
     p_analyze.add_argument("--json", action="store_true", dest="as_json")
     p_analyze.add_argument("--allow-large", action="store_true",
-                           help=f"raise the order cap to {ALLOW_LARGE_CAP}")
+                           help=f"raise the order cap to at least {ALLOW_LARGE_CAP}")
     p_analyze.set_defaults(run=_cmd_analyze)
 
     p_verify = sub.add_parser("verify", help="run verification cases over a corpus")
     p_verify.add_argument("case", help="case id or 'all'")
     p_verify.add_argument("--corpus", default=None, help="corpus file (one spec per line)")
     p_verify.add_argument("--allow-large", action="store_true",
-                          help=f"raise the order cap to {ALLOW_LARGE_CAP}")
+                          help=f"raise the order cap to at least {ALLOW_LARGE_CAP}")
     p_verify.add_argument("--min-hole-length", type=int, default=4)
     p_verify.add_argument("--json", action="store_true", dest="as_json")
     p_verify.set_defaults(run=_cmd_verify)
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
-    cap = ALLOW_LARGE_CAP if args.allow_large else None
+    cap = max(ALLOW_LARGE_CAP, resolve_cap()) if args.allow_large else None
     patterns = None
     if args.patterns is not None:
         patterns = [p.strip() for p in args.patterns.split(",") if p.strip()]
@@ -101,7 +102,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_verify(args) -> int:
     corpus = load_corpus(args.corpus) if args.corpus else default_corpus()
-    cap = ALLOW_LARGE_CAP if args.allow_large else None
+    cap = max(ALLOW_LARGE_CAP, resolve_cap()) if args.allow_large else None
     harness = Harness(corpus, cap=cap, min_hole_len=args.min_hole_length)
     reports = harness.run_all() if args.case == "all" else [harness.run_case(args.case)]
     if args.as_json:

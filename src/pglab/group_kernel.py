@@ -8,7 +8,8 @@ tuples, residue pairs) only matters inside `compose` and `render`.
 
 `Group.cyclic_subgroups` walks the powers of one generator of each cyclic
 subgroup once.  The power graph is built from its output, and the element
-orders are read off the same walk, since o(u^k) = o(u) / gcd(k, o(u)).
+orders are read off the same walk, each written once, at a generator.  A
+complete walk drops the payload index; `compose` and `index_of` rebuild it.
 
 Element order of a BFS closure is deterministic: identity first, then the
 generators in the order given, then products in breadth-first discovery
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
+from functools import cached_property
 from typing import Callable, Hashable, Iterator, Sequence
 
 DEFAULT_GROUP_CAP = 10080
@@ -35,9 +38,11 @@ def resolve_cap(cap: int | None = None) -> int:
     if cap is not None:
         return cap
     env = os.environ.get("PG_GROUP_CAP")
-    if env:
-        return int(env)
-    return DEFAULT_GROUP_CAP
+    if not env:
+        return DEFAULT_GROUP_CAP
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"PG_GROUP_CAP must be a positive integer, not {env!r}")
+    return int(env)
 
 
 class Group:
@@ -45,7 +50,7 @@ class Group:
 
     `elements` lists the payloads in index order.  It may also be a dict from
     each payload to its index, in index order, as `close_generators` builds
-    it; that dict then serves as the index itself.
+    it; the group then keeps that dict as its index until a walk drops it.
     """
 
     def __init__(
@@ -57,15 +62,18 @@ class Group:
     ) -> None:
         self._elements: tuple[Payload, ...] = tuple(elements)
         if isinstance(elements, dict):
-            self._index: dict[Payload, int] = elements  # built by close_generators
-        else:
-            self._index = {e: i for i, e in enumerate(self._elements)}
-            if len(self._index) != len(self._elements):
-                raise ValueError("duplicate payloads in element list")
+            self._index = elements  # built by close_generators
+        if len(self._index) != len(self._elements):
+            raise ValueError("duplicate payloads in element list")
         self._compose_payloads = compose_payloads
         self.label = label
         self._render = render_payload or repr
-        self._orders: list[int] | None = None
+        self._orders: array | None = None
+
+    @cached_property
+    def _index(self) -> dict[Payload, int]:
+        """payload -> index, cached in the instance: a plain dict for `compose`."""
+        return {e: i for i, e in enumerate(self._elements)}
 
     @property
     def order(self) -> int:
@@ -89,12 +97,13 @@ class Group:
         Elements are taken in index order, skipping any that generates a
         subgroup already yielded.  For a new u, one walk u, u^2, ..., u^o = 0
         gives the members in power order; the generators are the u^k with
-        gcd(k, o) = 1.  A complete walk fills the order cache on the way,
-        since o(u^k) = o / gcd(k, o).  Cost: about the sum of |<u>| over the
+        gcd(k, o) = 1.  Every element generates one subgroup yielded, so a
+        complete walk fills the order cache with o at each generator; then it
+        drops the payload index.  Cost: about the sum of |<u>| over the
         distinct subgroups, instead of the sum of o(u) over all elements.
         """
         n = self.order
-        orders = [0] * n
+        orders = array("i", bytes(4 * n))
         done = bytearray(n)
         for u in range(n):
             if done[u]:
@@ -105,15 +114,14 @@ class Group:
                 x = self.compose(x, u)
                 members.append(x)
             o = len(members)
-            generators = []
-            for k, x in enumerate(members, 1):
-                d = math.gcd(k, o)
-                orders[x] = o // d
-                if d == 1:
-                    generators.append(x)
-                    done[x] = 1
+            generators = [x for k, x in enumerate(members, 1) if math.gcd(k, o) == 1]
+            for g in generators:
+                orders[g] = o
+                done[g] = 1
             yield generators, members
         self._orders = orders
+        # pop, not del: a second walk of the trivial group finds no index.
+        self.__dict__.pop("_index", None)
 
     def element_orders(self) -> list[int]:
         if self._orders is None:

@@ -4,11 +4,11 @@ A `Graph` is kept as a clique quotient (see `Graph`); one given by vertex
 rows alone is stored as singleton blocks.  Its blocks are stored flat, as a
 `Partition`: `members` holds every vertex, block by block, each block
 ascending, and block b is `members[start[b]:start[b + 1]]`, so a graph holds
-no Python int per vertex but its row slot.  A vertex row is filled from the
-quotient when first read, by `Graph.row(v)`, which fills v's whole block;
-`Graph.adj` fills every row through `row`.  So a graph that is only
-reduced and searched holds just the rows its searches read; `has_edge` and
-`label` answer without rows.
+no Python int per vertex until a row is read.  A vertex row is filled from
+the quotient when first read, by `Graph.row(v)`, which fills v's whole block;
+the row list itself is made on that first read, and `Graph.adj` fills every
+row through `row`.  So a graph that is only reduced and searched holds just
+the rows its searches read; `has_edge` and `label` answer without rows.
 
 `build_power_graph` joins u ~ v whenever one lies in the cyclic subgroup
 generated by the other, that is, whenever <u> and <v> are comparable under
@@ -69,9 +69,12 @@ def _bits(mask: int):
         mask ^= low
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def _mask(flags: list[bool]) -> int:
     """The bitmask with bit i set for each true flags[i]."""
-    return int("".join("01"[f] for f in reversed(flags)) or "0", 2)
+    return int(bytes(flags)[::-1].translate(_DIGITS) or b"0", 2)
 
 
 class Partition:
@@ -125,16 +128,19 @@ class Graph:
         self.start: array = blocks.start
         self.n: int = len(self.members)
         self.block_of: array = array("i", bytes(4 * self.n))
-        owner = [b for b, (lo, hi) in enumerate(pairwise(self.start)) for _ in range(lo, hi)]
-        for v, b in zip(self.members, owner):
-            self.block_of[v] = b
-        # _rows[v]: v's row, or None until it is first read.
-        self._rows: list[int | None] = [None] * self.n
+        for b, (lo, hi) in enumerate(pairwise(self.start)):
+            for v in self.members[lo:hi]:
+                self.block_of[v] = b
         if not callable(labels):
             if len(labels) != self.n:
                 raise ValueError("label count does not match vertex count")
             labels = labels.__getitem__
         self.label: Callable[[int], str] = labels
+
+    @cached_property
+    def _rows(self) -> list[int | None]:
+        """_rows[v]: v's row, or None until read; made at the first read."""
+        return [None] * self.n
 
     def block(self, b: int) -> array:
         """Block b's members, ascending."""
@@ -285,13 +291,14 @@ def twin_reduce(graph: Graph) -> TwinReducedGraph:
         full = _mask([k > 0 for k in size])
         rows = [row & full for row in rows]
     run_of: list[list[int] | None] = [None] * len(rows)
-    # An isolated block gets no closed key (see the docstring).
-    closed = [row and row | 1 << b for b, row in enumerate(rows)]
     linked = [b for b in live if rows[b]]
     singles = [b for b in live if size[b] == 1]
-    for keys, vertices in ((closed, linked), (rows, singles)):
-        for a, b in pairwise(sorted(vertices, key=keys.__getitem__)):
-            if keys[a] == keys[b]:
+    # Only a linked block gets a closed key (see the docstring), held here.
+    for vertices, keys in ((linked, [rows[b] | 1 << b for b in linked]),
+                           (singles, [rows[b] for b in singles])):
+        for i, j in pairwise(sorted(range(len(vertices)), key=keys.__getitem__)):
+            if keys[i] == keys[j]:
+                a, b = vertices[i], vertices[j]
                 if run_of[a] is None:
                     run_of[a] = [a]
                 run_of[a].append(b)
@@ -301,19 +308,21 @@ def twin_reduce(graph: Graph) -> TwinReducedGraph:
     members, start = graph.members, graph.start
     classes = Partition()
     add, end = classes.members.extend, classes.start.append
+    # rank[v]: v's rank in its class, or RETAIN past the first RETAIN members.
+    rank = bytearray([RETAIN]) * graph.n
     for b in live:
         run = run_of[b]
         if run is None:
-            add(members[start[b]:start[b + 1]])
+            part = members[start[b]:start[b + 1]]
         elif run[0] == b:
-            add(sorted(v for c in run for v in graph.block(c)))
+            part = sorted(v for c in run for v in graph.block(c))
         else:
             continue
+        add(part)
         end(len(classes.members))
-    # rank[v]: v's rank in its class, for the first RETAIN members of each.
-    rank = {classes.members[i]: i - lo for lo, hi in pairwise(classes.start)
-            for i in range(lo, min(hi, lo + RETAIN))}
-    retained = array("i", sorted(rank))
+        for i, v in enumerate(part[:RETAIN]):
+            rank[v] = i
+    retained = array("i", (v for v, r in enumerate(rank) if r < RETAIN))
     rank_masks = [_mask([rank[v] < m for v in retained]) for m in range(RETAIN + 1)]
     if len(retained) == graph.n:
         search, kept = graph, size

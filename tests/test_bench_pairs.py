@@ -81,3 +81,30 @@ def test_summary_needs_nine_wins_in_ten_and_a_gap_wider_than_the_base_spread():
     _, large, mix = bench_pairs.summary(records, "base", _BENCHMARK)
     assert large.split()[-3:] == ["10/10", "no", "holds"]  # a 5 MB gap
     assert mix.split()[-3:] == ["8/10", "no", "holds"]  # 8 wins
+
+
+def _traced(workload, commit, values):
+    return {"commit": commit, "workload": workload, "trace": 1, "seed": 1,
+            "result": {"metrics": {m: {"unit": "x", "value": v} for m, v in values.items()}}}
+
+
+def test_layer_rows_give_traced_values_and_their_ratio():
+    benchmark = dict(_BENCHMARK, per_layer=[{"name": "group_kernel.compose_calls"},
+                                            {"name": "power_graph.build_s"},
+                                            {"name": "patterns.hole_s"}])
+    records = (_records("verify-large", [50.0] * 10, [40.0] * 10)
+               + [_traced("verify-large", "base", {"group_kernel.compose_calls": 140907,
+                                                   "power_graph.build_s": 0.25,
+                                                   "patterns.hole_s": 0.0}),
+                  _traced("verify-large", "base+", {"group_kernel.compose_calls": 140907,
+                                                    "power_graph.build_s": 0.2,
+                                                    "patterns.hole_s": 0.0}),
+                  _traced("analyze-mix", "base", {"power_graph.build_s": 0.1})])
+    # The _records helper's own traced records carry only trace.wall_s.
+    records = [r for r in records if not (r["trace"] and "trace.wall_s" in r["result"]["metrics"])]
+    header, compose, build, hole = bench_pairs.layer_rows(records, "base", benchmark)
+    assert header.split()[:3] == ["workload", "layer", "metric"]
+    assert compose.split() == ["verify-large", "group_kernel.compose_calls", "140907",
+                               "140907", "1.000"]
+    assert build.split() == ["verify-large", "power_graph.build_s", "0.25", "0.2", "0.800"]
+    assert hole.split()[-1] == "-"  # zero at the base: no ratio

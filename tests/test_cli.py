@@ -97,6 +97,31 @@ def test_analyze_cap_and_allow_large(monkeypatch, capsys):
     assert main(["analyze", "C6", "--allow-large", "--json"]) == 0
 
 
+def test_allow_large_keeps_a_larger_env_cap(tmp_path, monkeypatch, capsys):
+    """--allow-large raises the cap to at least 25,200; it does not lower a
+    larger PG_GROUP_CAP (PSL(2,37) has order 25,308)."""
+    monkeypatch.setenv("PG_GROUP_CAP", "30000")
+    assert main(["analyze", "PSL(2,37)", "--proper", "--patterns", "C3",
+                 "--allow-large", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 25308
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("PSL(2,37)\n")
+    assert main(["verify", "T-CHAIN", "--corpus", str(corpus), "--allow-large"]) == 0
+    assert "PSL(2,37): graph=false" in capsys.readouterr().out
+    monkeypatch.setenv("PG_GROUP_CAP", "6")
+    assert main(["analyze", "C12", "--allow-large", "--json"]) == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0"])
+@pytest.mark.parametrize("argv", [["analyze", "C4"], ["analyze", "C4", "--allow-large"],
+                                  ["verify", "T-CHAIN"]])
+def test_bad_env_cap_is_named_in_one_message(monkeypatch, capsys, value, argv):
+    monkeypatch.setenv("PG_GROUP_CAP", value)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: PG_GROUP_CAP must be a positive integer, not {value!r}\n"
+
+
 # -- verify ------------------------------------------------------------------------
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pglab import build_group, close_generators
+from pglab import build_group, build_power_graph, close_generators
+from pglab.constructors import direct_product
 from pglab.group_kernel import (
     DEFAULT_GROUP_CAP,
     CapExceededError,
@@ -255,3 +256,49 @@ def test_permutation_from_cycles_and_render():
     assert render_permutation(identity_permutation(4)) == "()"
     assert render_permutation((1, 0, 3, 2)) == "(1 2)(3 4)"
     assert render_permutation(permutation_from_cycles(7, [(5, 6, 7)])) == "(5 6 7)"
+
+
+# -- the payload index after a walk -------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ["S4", "PSL(2,7)"])
+def test_walk_drops_the_index_and_first_use_rebuilds_it(spec):
+    """A complete walk drops the payload index; `compose` and `index_of`
+    rebuild it, each on its own walked group, and agree with a fresh one."""
+    fresh = build_group(spec)
+    composed, looked_up = build_group(spec), build_group(spec)
+    for g in (composed, looked_up):
+        build_power_graph(g)
+        assert "_index" not in vars(g)
+    pairs = itertools.product(range(fresh.order), repeat=2)
+    assert all(composed.compose(i, j) == fresh.compose(i, j) for i, j in pairs)
+    assert all(looked_up.index_of(fresh.payload(i)) == i for i in range(fresh.order))
+
+
+def test_interrupted_walk_keeps_the_index_and_a_rewalk_drops_nothing():
+    g = build_group("C6")
+    next(g.cyclic_subgroups())
+    assert "_index" in vars(g)
+    trivial = build_group("C1")
+    for _ in range(2):  # the second walk composes nothing and finds no index
+        assert list(trivial.cyclic_subgroups()) == [([0], [0])]
+    assert "_index" not in vars(trivial) and trivial.element_orders() == [1]
+
+
+def test_product_of_walked_factors_matches_fresh_factors():
+    walked = [build_group("S3"), build_group("Q8")]
+    for g in walked:
+        g.element_orders()
+    product = direct_product(*walked)
+    fresh = direct_product(build_group("S3"), build_group("Q8"))
+    n = fresh.order
+    assert [product.payload(i) for i in range(n)] == [fresh.payload(i) for i in range(n)]
+    assert all(product.compose(i, j) == fresh.compose(i, j)
+               for i, j in itertools.product(range(n), repeat=2))
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "2.5", " "])
+def test_resolve_cap_rejects_a_bad_environment_value(monkeypatch, value):
+    monkeypatch.setenv("PG_GROUP_CAP", value)
+    with pytest.raises(ValueError, match="PG_GROUP_CAP must be a positive integer"):
+        resolve_cap()

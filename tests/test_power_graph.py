@@ -19,7 +19,8 @@ from pglab import (
     twin_reduce,
 )
 from pglab.harness import DEFAULT_CORPUS_SPECS, PRODUCT_SUBCORPUS_SPECS, analyze_group
-from pglab.power_graph import RETAIN
+from pglab.group_kernel import Group
+from pglab.power_graph import RETAIN, _mask
 from naive_oracle import (
     complement,
     induced,
@@ -530,3 +531,61 @@ def test_graph_constructor_direct():
     assert ring.edges() == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
     assert all(ring.degree(v) == 2 for v in range(5))
     assert is_connected(ring)
+
+
+# -- what a built group and its graphs keep ---------------------------------------
+
+
+def test_psl2_31_bundle_holds_under_3_mb():
+    """PSL(2,31), built inside the trace with its P*(G), flags, reduction and
+    one C3 search, holds under 3.0 MB: the walk drops the payload index, and
+    the original graph of a cut reduction makes no row list.  With the index
+    kept and a row slot per vertex it held 3.7 MB."""
+    tracemalloc.start()
+    try:
+        group = build_group("PSL(2,31)", LARGE_CAP)
+        graph = build_power_graph(group, proper=True)
+        flags = compute_structure_flags(group)
+        red = twin_reduce(graph)
+        witness = find_induced_pattern(red, "C3")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert group.order == 14_880 and flags.order == 14_880 and witness is not None
+    assert held < 3_000_000
+
+
+def test_large_corpus_walks_compose_as_often_as_traced(monkeypatch):
+    """Building P*(G) for the ten verify-large groups composes 140,907
+    times, the traced `group_kernel.compose_calls` of that workload, and the
+    orders read afterwards come from the walk, with no further call."""
+    groups = [build_group(spec, LARGE_CAP) for spec in LARGE_SPECS]
+    calls = [0]
+    compose = Group.compose
+
+    def counted(group, i, j):
+        calls[0] += 1
+        return compose(group, i, j)
+
+    monkeypatch.setattr(Group, "compose", counted)
+    for group in groups:
+        build_power_graph(group, proper=True)
+    assert calls[0] == 140_907
+    for group in groups:
+        group.element_orders()
+    assert calls[0] == 140_907
+
+
+def test_searching_a_cut_reduction_reads_no_original_row():
+    """P*(E2^14) is 16,383 isolated vertices, one class, cut to 3: a search
+    reads no row of the original, so it makes no list of 16,383 row slots."""
+    red = twin_reduce(build_power_graph(build_group("E2^14", LARGE_CAP), proper=True))
+    assert red.graph is not red.original
+    assert find_induced_pattern(red, "P2uP3") is None
+    assert "_rows" not in vars(red.original)
+
+
+@given(st.lists(st.booleans(), max_size=200))
+def test_mask_sets_exactly_the_listed_bits(flags):
+    assert _mask(flags) == sum(1 << i for i, f in enumerate(flags) if f)
+    assert _mask([int(f) for f in flags]) == _mask(flags)

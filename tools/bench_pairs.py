@@ -22,6 +22,8 @@ their quartiles, the pairs (same seed) the change won, whether the gain
 rule holds (at least 9 of 10 pairs won, and a median gap wider than the
 base's interquartile range) and whether the metric's bound holds (the
 change median no worse than the base median by more than ``bound`` of it).
+Then it prints one row per workload and ``per_layer`` metric: the values of
+the traced seed-1 runs of the base and of the change, and change / base.
 """
 
 from __future__ import annotations
@@ -98,6 +100,24 @@ def summary(records: list[dict], base: str, benchmark: dict) -> list[str]:
     return rows
 
 
+def layer_rows(records: list[dict], base: str, benchmark: dict) -> list[str]:
+    """One row per workload and per-layer metric, from the traced runs."""
+    rows = [f"{'workload':<15} {'layer metric':<28} {'base':>12} {'change':>12} {'ratio':>7}"]
+    for workload in benchmark["workloads"]:
+        sides = [{}, {}]  # the metrics of the base's and the change's traced run
+        for r in records:
+            if r["workload"] == workload["name"] and r["trace"]:
+                sides[r["commit"] != base] = r["result"]["metrics"]
+        for metric in benchmark["per_layer"]:
+            if metric["name"] not in sides[0] or metric["name"] not in sides[1]:
+                continue
+            old, new = (side[metric["name"]]["value"] for side in sides)
+            ratio = f"{new / old:.3f}" if old else "-"
+            rows.append(f"{workload['name']:<15} {metric['name']:<28} "
+                        f"{old:>12.6g} {new:>12.6g} {ratio:>7}")
+    return rows
+
+
 def _quartiles(median: float, q1: float, q3: float) -> str:
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
@@ -132,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1)
         fh.write("\n")
-    print("\n".join(summary(records, base, benchmark)))
+    print("\n".join(summary(records, base, benchmark) + layer_rows(records, base, benchmark)))
     return 0
 
 
