@@ -61,7 +61,6 @@ from .classifiers import (
 from .harness import (
     AnalysisReport,
     Corpus,
-    CorpusEntry,
     EntryRecord,
     Harness,
     VerificationReport,

@@ -18,7 +18,7 @@ import sys
 
 from .classifiers import psl2_side_numbers, sz_side_numbers, is_admissible_cyclic_order
 from .group_kernel import resolve_cap
-from .harness import Harness, analyze_group, default_corpus, load_corpus
+from .harness import DEFAULT_CORPUS_SPECS, Harness, analyze_group, default_corpus, load_corpus
 from .power_graph import export_graph
 
 ALLOW_LARGE_CAP = 25200
@@ -28,6 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pg",
                                      description="Power graphs of finite groups: "
                                                  "analysis and classification checks")
+    parser.set_defaults(allow_large=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analyze = sub.add_parser("analyze", help="analyze one group")
@@ -67,11 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
-    cap = max(ALLOW_LARGE_CAP, resolve_cap()) if args.allow_large else None
     patterns = None
     if args.patterns is not None:
         patterns = [p.strip() for p in args.patterns.split(",") if p.strip()]
-    report = analyze_group(args.spec, proper=args.proper, patterns=patterns, cap=cap)
+    report = analyze_group(args.spec, proper=args.proper, patterns=patterns, cap=args.cap)
     if args.export:
         fmt, path = args.export
         text = export_graph(report.graph, fmt)  # an unknown format raises here
@@ -102,8 +102,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_verify(args) -> int:
     corpus = load_corpus(args.corpus) if args.corpus else default_corpus()
-    cap = max(ALLOW_LARGE_CAP, resolve_cap()) if args.allow_large else None
-    harness = Harness(corpus, cap=cap, min_hole_len=args.min_hole_length)
+    harness = Harness(corpus, cap=args.cap, min_hole_len=args.min_hole_length)
     reports = harness.run_all() if args.case == "all" else [harness.run_case(args.case)]
     if args.as_json:
         docs = [r.to_dict() for r in reports]
@@ -125,8 +124,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    for entry in default_corpus().entries:  # "list", the only action
-        print(entry.spec_text)
+    print("\n".join(DEFAULT_CORPUS_SPECS))  # "list", the only action
     return 0
 
 
@@ -144,6 +142,7 @@ def _cmd_numbers(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        args.cap = max(ALLOW_LARGE_CAP, resolve_cap()) if args.allow_large else None
         return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -80,34 +80,16 @@ DEFAULT_SZ_PARAMS: tuple[int, ...] = (8,)
 
 
 @dataclass(frozen=True)
-class CorpusEntry:
-    spec_text: str
-    spec: GroupSpec
-
-    @property
-    def label(self) -> str:
-        return spec_label(self.spec)
-
-    @property
-    def family(self) -> str:
-        return self.spec.family if isinstance(self.spec, AtomSpec) else "product"
-
-
-@dataclass(frozen=True)
 class Corpus:
-    entries: tuple[CorpusEntry, ...]
-    product_entries: tuple[CorpusEntry, ...]
+    entries: tuple[GroupSpec, ...]
+    product_entries: tuple[GroupSpec, ...]
     sz_params: tuple[int, ...]
-
-
-def _entry(spec_text: str) -> CorpusEntry:
-    return CorpusEntry(spec_text, parse_group_spec(spec_text))
 
 
 def default_corpus() -> Corpus:
     return Corpus(
-        entries=tuple(_entry(s) for s in DEFAULT_CORPUS_SPECS),
-        product_entries=tuple(_entry(s) for s in PRODUCT_SUBCORPUS_SPECS),
+        entries=tuple(map(parse_group_spec, DEFAULT_CORPUS_SPECS)),
+        product_entries=tuple(map(parse_group_spec, PRODUCT_SUBCORPUS_SPECS)),
         sz_params=DEFAULT_SZ_PARAMS,
     )
 
@@ -115,13 +97,13 @@ def default_corpus() -> Corpus:
 def load_corpus(path: str) -> Corpus:
     """One spec per line; '#' starts a comment.  Product pairs are formed
     from the file's own entries; no Suzuki parameters are implied."""
-    entries: list[CorpusEntry] = []
+    entries: list[GroupSpec] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.split("#", 1)[0].strip()
             if text:
                 try:
-                    entries.append(_entry(text))
+                    entries.append(parse_group_spec(text))
                 except GroupSpecError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return Corpus(tuple(entries), tuple(entries), ())
@@ -217,13 +199,12 @@ class Harness:
         self.corpus = corpus if corpus is not None else default_corpus()
         self.cap = cap
         self.min_hole_len = min_hole_len
-        self._bundles: dict[str, GroupBundle] = {}
+        self._bundles: dict[GroupSpec, GroupBundle] = {}
 
-    def bundle(self, entry: CorpusEntry) -> GroupBundle:
-        key = entry.label
-        if key not in self._bundles:
-            self._bundles[key] = GroupBundle(entry.spec, self.cap)
-        return self._bundles[key]
+    def bundle(self, spec: GroupSpec) -> GroupBundle:
+        if spec not in self._bundles:
+            self._bundles[spec] = GroupBundle(spec, self.cap)
+        return self._bundles[spec]
 
     def run_case(self, theorem_id: str) -> VerificationReport:
         case = CASES.get(theorem_id)
@@ -254,17 +235,18 @@ class Harness:
             for a, b in product(self.corpus.product_entries, repeat=2):
                 ba, bb = self.bundle(a), self.bundle(b)
                 if ba.group.order * bb.group.order <= PRODUCT_ORDER_CAP:
-                    pair = GroupBundle(ProductSpec(a.spec, b.spec), self.cap,
+                    pair = GroupBundle(ProductSpec(a, b), self.cap,
                                        direct_product(ba.group, bb.group, self.cap))
                     yield pair.label, pair, (ba.flags, bb.flags)
         else:
-            for entry in self.corpus.entries:
-                if case.family is not None and entry.family != case.family:
+            for spec in self.corpus.entries:
+                if case.family is not None and not (
+                        isinstance(spec, AtomSpec) and spec.family == case.family):
                     continue
-                bundle = self.bundle(entry)
+                bundle = self.bundle(spec)
                 if case.when is None or case.when(bundle.flags):
                     yield bundle.label, bundle, (
-                        entry.spec.params[0] if case.by_q else bundle.flags,)
+                        spec.params[0] if case.by_q else bundle.flags,)
 
     def _graph_side(self, bundle: GroupBundle, case: Case) -> tuple[bool, Witness | None]:
         red = bundle.reduction(True)

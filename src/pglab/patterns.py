@@ -15,13 +15,14 @@ smaller unused one yields a copy that the search meets earlier.
 
 A search also looks two steps ahead.  Say step k's pattern vertex is not
 adjacent to step j's (j < k), but both are adjacent to a vertex placed after
-step k.  That vertex's image is then a common neighbour of x_j and x_k among
-the searched vertices, so x_k lies in N(N(x_j) & searched), and no other
-candidate for step k can be completed.  Cutting those candidates drops only
-subtrees that hold no copy, so the first witness is the same as without the
-cut.  The steps that take the cut depend on the pattern alone (P2uP3bar step
-1, C4 step 2, C5 step 3, P5bar step 2); each keeps one distance-two mask,
-rebuilt when x_j changes.
+step k, and to none placed before it (such an x_i puts x_k in N(x_i), which
+the cut would not shrink).  That vertex's image is then a common neighbour
+of x_j and x_k among the searched vertices, so x_k lies in N(N(x_j) &
+searched), and no other candidate for step k can be completed.  Cutting
+those candidates drops only subtrees that hold no copy, so the first witness
+is the same as without the cut.  The steps that take the cut depend on the
+pattern alone (P2uP3bar step 1, C5 step 3); each keeps one distance-two
+mask, rebuilt when x_j changes.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ class Pattern:
     max_twins: int  # m(H): the largest closed-twin or open-twin class
     order: tuple[int, ...]  # search order: decreasing degree, then id
     # lookahead[k]: the earliest step j < k whose vertex is not adjacent to
-    # step k's but shares a neighbour with it placed after step k, or None.
+    # step k's but shares a neighbour with it placed after step k and none
+    # placed before step k, or None.
     lookahead: tuple[int | None, ...]
 
 
@@ -59,10 +61,12 @@ def _make_pattern(name: str, size: int, edges: tuple[tuple[int, int], ...]) -> P
     order = tuple(sorted(range(size), key=lambda v: (-degrees[v], v)))
     lookahead = []
     for k, pv in enumerate(order):
+        placed = sum(1 << w for w in order[:k])
         later = sum(1 << w for w in order[k + 1:])
         lookahead.append(next((j for j, pj in enumerate(order[:k])
                                if not masks[pj] >> pv & 1
-                               and masks[pj] & masks[pv] & later), None))
+                               and masks[pj] & masks[pv] & later
+                               and not masks[pj] & masks[pv] & placed), None))
     return Pattern(name, size, edges, tuple(masks), degrees, max_twins, order,
                    tuple(lookahead))
 
@@ -103,7 +107,8 @@ def verify_witness(graph: Graph, pattern: Pattern | str, vertices: tuple[int, ..
     """Check that `vertices` induce exactly `pattern` in `graph`."""
     if isinstance(pattern, str):
         pattern = PATTERNS[pattern]
-    if len(vertices) != pattern.size or len(set(vertices)) != pattern.size:
+    if (len(vertices) != pattern.size or len(set(vertices)) != pattern.size
+            or not all(0 <= v < graph.n for v in vertices)):
         return False
     for i in range(pattern.size):
         for j in range(i + 1, pattern.size):

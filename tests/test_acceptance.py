@@ -157,12 +157,13 @@ def test_criterion_07_even_hole_diamond_and_shortcut(reports, harness):
     assert report.mismatches == 0
     assert len(report.entries) == 60
     compared = 0
-    for entry in default_corpus().entries:
-        red = harness.bundle(entry).reduction(proper=True)
+    for spec in default_corpus().entries:
+        bundle = harness.bundle(spec)
+        red = bundle.reduction(proper=True)
         if red.graph.n > 100:
             continue
         exhaustive_has_hole = find_hole(red, parity="any", min_len=4) is not None
-        assert _mcs_is_chordal(red.graph) == (not exhaustive_has_hole), entry.label
+        assert _mcs_is_chordal(red.graph) == (not exhaustive_has_hole), bundle.label
         compared += 1
     assert compared >= 40
     print(f"CRITERION 07 PASS even-hole+diamond agrees on all 60 entries; "
@@ -269,8 +270,8 @@ def test_criterion_11_sanity_preliminaries(reports):
     assert nullprime.mismatches == 0
     assert all(e.graph_side is True and e.rhs is True for e in nullprime.entries)
     eppo_count = sum(
-        1 for entry in default_corpus().entries
-        if compute_structure_flags(build_group(entry.spec)).is_eppo
+        1 for spec in default_corpus().entries
+        if compute_structure_flags(build_group(spec)).is_eppo
     )
     assert len(nullprime.entries) == eppo_count
     # (c) chordality over nilpotent members matches the Sylow condition
@@ -283,8 +284,8 @@ def test_criterion_11_sanity_preliminaries(reports):
 def test_criterion_12_naive_oracle_equivalence():
     t0 = time.monotonic()
     checked_groups = 0
-    for entry in default_corpus().entries:
-        group = build_group(entry.spec)
+    for spec in default_corpus().entries:
+        group = build_group(spec)
         if group.order > 60:
             continue
         graph = build_power_graph(group)
@@ -292,7 +293,7 @@ def test_criterion_12_naive_oracle_equivalence():
         naive = naive_pattern_presence(graph)
         for name, present in naive.items():
             fast = find_induced_pattern(red, name) is not None
-            assert fast == present, (entry.label, name)
+            assert fast == present, (group.label, name)
         checked_groups += 1
     elapsed = time.monotonic() - t0
     assert checked_groups >= 45

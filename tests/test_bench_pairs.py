@@ -89,22 +89,29 @@ def _traced(workload, commit, values):
 
 
 def test_layer_rows_give_traced_values_and_their_ratio():
-    benchmark = dict(_BENCHMARK, per_layer=[{"name": "group_kernel.compose_calls"},
-                                            {"name": "power_graph.build_s"},
-                                            {"name": "patterns.hole_s"}])
+    """Counts and ratios are exact, so they get change / base; a time from
+    one traced run per side does not."""
+    benchmark = dict(_BENCHMARK, per_layer=[
+        {"name": "group_kernel.compose_calls", "unit": "count"},
+        {"name": "patterns.found_ratio", "unit": "ratio"},
+        {"name": "power_graph.build_s", "unit": "s"},
+        {"name": "patterns.searches", "unit": "count"}])
     records = (_records("verify-large", [50.0] * 10, [40.0] * 10)
                + [_traced("verify-large", "base", {"group_kernel.compose_calls": 140907,
+                                                   "patterns.found_ratio": 0.5,
                                                    "power_graph.build_s": 0.25,
-                                                   "patterns.hole_s": 0.0}),
+                                                   "patterns.searches": 0}),
                   _traced("verify-large", "base+", {"group_kernel.compose_calls": 140907,
+                                                    "patterns.found_ratio": 0.25,
                                                     "power_graph.build_s": 0.2,
-                                                    "patterns.hole_s": 0.0}),
+                                                    "patterns.searches": 3}),
                   _traced("analyze-mix", "base", {"power_graph.build_s": 0.1})])
     # The _records helper's own traced records carry only trace.wall_s.
     records = [r for r in records if not (r["trace"] and "trace.wall_s" in r["result"]["metrics"])]
-    header, compose, build, hole = bench_pairs.layer_rows(records, "base", benchmark)
+    header, compose, found, build, searches = bench_pairs.layer_rows(records, "base", benchmark)
     assert header.split()[:3] == ["workload", "layer", "metric"]
     assert compose.split() == ["verify-large", "group_kernel.compose_calls", "140907",
                                "140907", "1.000"]
-    assert build.split() == ["verify-large", "power_graph.build_s", "0.25", "0.2", "0.800"]
-    assert hole.split()[-1] == "-"  # zero at the base: no ratio
+    assert found.split() == ["verify-large", "patterns.found_ratio", "0.5", "0.25", "0.500"]
+    assert build.split() == ["verify-large", "power_graph.build_s", "0.25", "0.2", "-"]
+    assert searches.split()[-1] == "-"  # zero at the base: no ratio

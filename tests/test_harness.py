@@ -22,13 +22,12 @@ from pglab import (
     verify_witness,
 )
 from pglab.classifiers import CASES
-from pglab.constructors import spec_label
+from pglab.constructors import parse_group_spec, spec_label
 from pglab.harness import (
     DEFAULT_CORPUS_SPECS,
     DEFAULT_SZ_PARAMS,
     PRODUCT_ORDER_CAP,
     PRODUCT_SUBCORPUS_SPECS,
-    _entry,
 )
 from pglab.patterns import _mcs_is_chordal
 from naive_oracle import chain_third_family, cyclic_closure
@@ -43,10 +42,11 @@ PROPER_SIDED = {"T-CHAIN", "T-DIAMOND", "T-EVENHOLE-DIAMOND", "T-DIAMOND-CODIAMO
 def test_default_corpus_shape():
     corpus = default_corpus()
     assert len(corpus.entries) == 60
-    assert len(set(e.label for e in corpus.entries)) == 60
+    assert len(set(corpus.entries)) == 60
     assert len(corpus.product_entries) == 12
     assert corpus.sz_params == DEFAULT_SZ_PARAMS == (8,)
-    labels = [e.label for e in corpus.entries]
+    labels = [spec_label(s) for s in corpus.entries]
+    assert labels == list(DEFAULT_CORPUS_SPECS)
     for expected in ("C1", "C100", "Q16", "E2^4", "S6", "A7", "PSL(2,13)",
                      "SD(15,2,14)", "C4xC9"):
         assert expected in labels
@@ -54,7 +54,7 @@ def test_default_corpus_shape():
 
 def test_product_subcorpus_is_within_order_cap():
     corpus = default_corpus()
-    orders = {e.label: build_group(e.spec).order for e in corpus.product_entries}
+    orders = {spec_label(s): build_group(s).order for s in corpus.product_entries}
     assert max(orders.values()) ** 2 <= 2048**2
     assert max(o1 * o2 for o1 in orders.values() for o2 in orders.values()) <= PRODUCT_ORDER_CAP
 
@@ -63,7 +63,7 @@ def test_load_corpus(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("# comment line\nC6\nS3  # trailing comment\n\nQ8\n")
     corpus = load_corpus(str(path))
-    assert [e.label for e in corpus.entries] == ["C6", "S3", "Q8"]
+    assert [spec_label(s) for s in corpus.entries] == ["C6", "S3", "Q8"]
     assert corpus.product_entries == corpus.entries
     assert corpus.sz_params == ()
 
@@ -75,10 +75,20 @@ def test_load_corpus_parse_error_names_the_line(tmp_path):
         load_corpus(str(path))
 
 
+def _specs(*texts: str) -> tuple:
+    return tuple(map(parse_group_spec, texts))
+
+
 def test_corpus_entry_family():
-    assert _entry("S5").family == "S"
-    assert _entry("PSL(2,7)").family == "PSL2"
-    assert _entry("C2xC6").family == "product"
+    """On a corpus that mixes atoms and products, T-SN, T-AN and T-PSL2 cover
+    exactly the atoms of their own family, in corpus order; a product is in
+    no family, even one whose factors are."""
+    entries = _specs("S3", "A4", "PSL(2,5)", "S3xC2", "C2xS3", "A4xC1", "C6",
+                     "PSL(2,4)", "S4", "A5")
+    harness = Harness(Corpus(entries, (), ()))
+    for tid, expected in (("T-SN", ["S3", "S4"]), ("T-AN", ["A4", "A5"]),
+                          ("T-PSL2", ["PSL(2,5)", "PSL(2,4)"])):
+        assert [label for label, _, _ in harness._subjects(CASES[tid])] == expected, tid
 
 
 # -- full verification over the default corpus ----------------------------------------
@@ -95,12 +105,12 @@ def test_all_cases_agree(reports):
 def test_entry_counts(reports):
     corpus = default_corpus()
     nilpotent = sum(
-        1 for e in corpus.entries
-        if compute_structure_flags(build_group(e.spec)).is_nilpotent
+        1 for s in corpus.entries
+        if compute_structure_flags(build_group(s)).is_nilpotent
     )
     eppo = sum(
-        1 for e in corpus.entries
-        if compute_structure_flags(build_group(e.spec)).is_eppo
+        1 for s in corpus.entries
+        if compute_structure_flags(build_group(s)).is_eppo
     )
     assert len(reports["T-CHAIN"].entries) == 60
     assert len(reports["T-DIAMOND"].entries) == 60
@@ -179,12 +189,12 @@ def test_p_and_proper_p_give_the_same_witnesses():
     same first witness of every pattern (vertex ids and labels), the same
     cograph/chordal/chain verdicts, and for holes the same labels."""
     checked = 0
-    for entry in default_corpus().entries:
-        group = build_group(entry.spec)
+    for spec in DEFAULT_CORPUS_SPECS:
+        group = build_group(parse_group_spec(spec))
         if group.order > 2000:
             continue
         full = twin_reduce(build_power_graph(group))
-        report = analyze_group(entry.spec_text)
+        report = analyze_group(spec)
         expected = {name: find_induced_pattern(full, name) for name in PATTERNS}
         assert report.patterns == expected, entry.label
         assert report.cograph == (expected["P4"] is None), entry.label
@@ -255,8 +265,7 @@ def test_collected_subjects_keep_their_own_arguments(harness):
     assert [args for _, _, args in subjects["T-PSL2"]] == [
         (q,) for q in (4, 5, 7, 8, 9, 11, 13)]
     for label, pair, args in subjects["T-P5P5B-PRODUCT"]:
-        a, b = (harness.bundle(_entry(spec_label(s)))
-                for s in (pair.spec.left, pair.spec.right))
+        a, b = (harness.bundle(s) for s in (pair.spec.left, pair.spec.right))
         assert len(args) == 2 and args[0] is a.flags and args[1] is b.flags, label
     assert subjects["T-SZ"] == [("Sz(8)", None, (8,))]
 
@@ -286,8 +295,8 @@ def test_reports_are_deterministic_modulo_ms():
 
 
 def test_chain_case_c_has_no_corpus_instances(harness):
-    assert [e.label for e in harness.corpus.entries
-            if chain_third_family(harness.bundle(e).flags)] == []
+    assert [spec_label(s) for s in harness.corpus.entries
+            if chain_third_family(harness.bundle(s).flags)] == []
 
 
 # -- harness on restricted corpora -----------------------------------------------------
@@ -303,7 +312,7 @@ def test_empty_corpus_yields_empty_reports():
 
 
 def test_single_entry_corpus():
-    h = Harness(Corpus((_entry("C2"),), (_entry("C2"),), ()))
+    h = Harness(Corpus(_specs("C2"), _specs("C2"), ()))
     by_id = {r.theorem: r for r in h.run_all()}
     assert by_id["T-CHAIN"].entries[0].graph_side is True
     assert by_id["T-CHAIN"].entries[0].rhs is True
@@ -322,12 +331,12 @@ def test_psl2_59_has_both_sides_false():
     without the power graph."""
     sweep = load_corpus(os.path.join(ROOT, "corpora", "psl2.corpus"))
     assert len(sweep.entries) == 28
-    (entry,) = [e for e in sweep.entries if e.spec_text == "PSL(2,59)"]
-    harness = Harness(Corpus((entry,), (), ()), cap=102660)
+    (spec,) = [s for s in sweep.entries if spec_label(s) == "PSL(2,59)"]
+    harness = Harness(Corpus((spec,), (), ()), cap=102660)
     (record,) = harness.run_case("T-PSL2").entries
     assert (record.group, record.graph_side, record.rhs, record.agree) == (
         "PSL(2,59)", False, False, True)
-    group = harness.bundle(entry).group
+    group = harness.bundle(spec).group
     ids = [group.index_of(tuple(x for row in json.loads(label) for x in row))
            for label in record.witness]
     assert [group.render(v) for v in ids] == list(record.witness)
@@ -340,8 +349,7 @@ def test_psl2_59_has_both_sides_false():
 
 
 def _four_entry_corpus():
-    return Corpus(tuple(_entry(s) for s in ("S4", "C12", "C2", "C50")),
-                  tuple(_entry(s) for s in ("C2", "C50")), ())
+    return Corpus(_specs("S4", "C12", "C2", "C50"), _specs("C2", "C50"), ())
 
 
 def test_product_case_skips_pairs_over_the_order_cap():
@@ -376,7 +384,7 @@ def test_each_case_walks_each_group_once(monkeypatch, theorem_id):
     walk = Group.cyclic_subgroups
     monkeypatch.setattr(Group, "cyclic_subgroups",
                         lambda group: walks.append(group.label) or walk(group))
-    Harness(Corpus((_entry("S4"), _entry("C12")), (), ())).run_case(theorem_id)
+    Harness(Corpus(_specs("S4", "C12"), (), ())).run_case(theorem_id)
     assert sorted(walks) == ["C12", "S4"]
 
 
@@ -391,7 +399,7 @@ def test_verify_path_fills_few_rows(monkeypatch, spec):
     has_edge = Graph.has_edge
     monkeypatch.setattr(Graph, "has_edge",
                         lambda graph, u, v: checked.append((u, v)) or has_edge(graph, u, v))
-    harness = Harness(Corpus((_entry(spec),), (), ()), cap=25200)
+    harness = Harness(Corpus(_specs(spec), (), ()), cap=25200)
     (entry,) = harness.run_case("T-CHAIN").entries
     assert entry.graph_side is False and entry.witness is not None
     assert checked
@@ -403,7 +411,7 @@ def test_verify_path_fills_few_rows(monkeypatch, spec):
 
 
 def test_harness_cap_applies():
-    h = Harness(Corpus((_entry("C100"),), (), ()), cap=50)
+    h = Harness(Corpus(_specs("C100"), (), ()), cap=50)
     from pglab.group_kernel import CapExceededError
 
     with pytest.raises(CapExceededError):
@@ -417,7 +425,7 @@ def test_min_hole_len_plumbs_through():
 
     ring6 = Graph([0b100010, 0b000101, 0b001010, 0b010100, 0b101000, 0b010001])
     for min_len, expected in ((4, False), (8, True)):
-        h = Harness(Corpus((_entry("C7"),), (), ()), min_hole_len=min_len)
+        h = Harness(Corpus(_specs("C7"), (), ()), min_hole_len=min_len)
         h.bundle(h.corpus.entries[0])._reduction = twin_reduce(ring6)
         report = h.run_case("T-EVENHOLE-DIAMOND")
         assert report.entries[0].graph_side is expected

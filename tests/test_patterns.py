@@ -100,6 +100,12 @@ def test_verify_witness_exactness():
     assert not verify_witness(g, "diamond", (1, 5, 2))  # wrong arity
     assert not verify_witness(g, "diamond", (1, 5, 2, 2))  # repeated vertex
     assert not verify_witness(g, "C3", (0, 2, 3))  # g^2 !~ g^3
+    # vertices outside range(n) induce nothing, though list indices wrap
+    c3 = build_power_graph(build_group("C3"))
+    assert verify_witness(c3, "C3", (0, 1, 2))
+    assert not verify_witness(c3, "C3", (-1, 0, 1))
+    assert not verify_witness(c3, "C3", (-3, -2, -1))
+    assert not verify_witness(c3, "C3", (0, 1, 5))
 
 
 def test_find_returns_original_vertices_and_labels():
@@ -438,8 +444,9 @@ def test_pattern_presence_against_naive_enumeration():
 
 def test_search_order_and_lookahead_steps():
     """Each look-ahead step j of step k: the vertices at steps j and k are not
-    adjacent but share a neighbour placed after step k, and j is the earliest
-    such step."""
+    adjacent but share a neighbour placed after step k, share none placed
+    before step k (which would already confine x_k to N(N(x_j))), and j is
+    the earliest such step."""
     steps = {}
     for name, p in PATTERNS.items():
         assert p.order == tuple(sorted(range(p.size), key=lambda v: (-p.degrees[v], v)))
@@ -447,11 +454,13 @@ def test_search_order_and_lookahead_steps():
             ok = [j for j in range(k)
                   if not p.adj_masks[p.order[j]] >> pv & 1
                   and any(p.adj_masks[w] >> pv & 1 and p.adj_masks[w] >> p.order[j] & 1
-                          for w in p.order[k + 1:])]
+                          for w in p.order[k + 1:])
+                  and not any(p.adj_masks[w] >> pv & 1 and p.adj_masks[w] >> p.order[j] & 1
+                              for w in p.order[:k])]
             assert p.lookahead[k] == (ok[0] if ok else None), (name, k)
             if ok:
                 steps[name, k] = ok[0]
-    assert steps == {("P5bar", 2): 0, ("C4", 2): 0, ("C5", 3): 0, ("P2uP3bar", 1): 0}
+    assert steps == {("C5", 3): 0, ("P2uP3bar", 1): 0}
 
 
 @settings(max_examples=150, deadline=None)

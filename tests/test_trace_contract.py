@@ -10,7 +10,7 @@ import importlib.util
 import os
 import random
 
-from pglab.harness import Corpus, CorpusEntry, Harness, analyze_group
+from pglab.harness import Corpus, Harness, analyze_group
 from pglab.constructors import parse_group_spec
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -27,8 +27,8 @@ def _load(name):
 
 def test_tracer_patches_and_restores_pglab():
     tracer = _load("tracing").Tracer()
-    entries = tuple(CorpusEntry(s, parse_group_spec(s)) for s in ("S4", "PSL(2,8)"))
-    factors = tuple(CorpusEntry(s, parse_group_spec(s)) for s in ("C2", "C3"))
+    entries = tuple(map(parse_group_spec, ("S4", "PSL(2,8)")))
+    factors = tuple(map(parse_group_spec, ("C2", "C3")))
     harness = Harness(Corpus(entries, factors, (8,)))
     tracer.install()
     try:

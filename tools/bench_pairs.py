@@ -23,7 +23,9 @@ rule holds (at least 9 of 10 pairs won, and a median gap wider than the
 base's interquartile range) and whether the metric's bound holds (the
 change median no worse than the base median by more than ``bound`` of it).
 Then it prints one row per workload and ``per_layer`` metric: the values of
-the traced seed-1 runs of the base and of the change, and change / base.
+the traced seed-1 runs of the base and of the change, and change / base for
+counts and ratios.  A time from one traced run per side is too noisy to
+divide, so a time metric gets ``-`` in place of a ratio.
 """
 
 from __future__ import annotations
@@ -101,7 +103,8 @@ def summary(records: list[dict], base: str, benchmark: dict) -> list[str]:
 
 
 def layer_rows(records: list[dict], base: str, benchmark: dict) -> list[str]:
-    """One row per workload and per-layer metric, from the traced runs."""
+    """One row per workload and per-layer metric, from the traced runs; only
+    the exact metrics, counts and ratios, get change / base."""
     rows = [f"{'workload':<15} {'layer metric':<28} {'base':>12} {'change':>12} {'ratio':>7}"]
     for workload in benchmark["workloads"]:
         sides = [{}, {}]  # the metrics of the base's and the change's traced run
@@ -112,7 +115,8 @@ def layer_rows(records: list[dict], base: str, benchmark: dict) -> list[str]:
             if metric["name"] not in sides[0] or metric["name"] not in sides[1]:
                 continue
             old, new = (side[metric["name"]]["value"] for side in sides)
-            ratio = f"{new / old:.3f}" if old else "-"
+            exact = metric["unit"] in ("count", "ratio")
+            ratio = f"{new / old:.3f}" if exact and old else "-"
             rows.append(f"{workload['name']:<15} {metric['name']:<28} "
                         f"{old:>12.6g} {new:>12.6g} {ratio:>7}")
     return rows
