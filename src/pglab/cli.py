@@ -2,7 +2,7 @@
 
     pg analyze <spec> [--proper] [--patterns LIST] [--export dot|json PATH] [--json]
                [--allow-large]
-    pg verify <case-id>|all [--corpus PATH] [--allow-large] [--min-hole-length N] [--json]
+    pg verify <case-id>|all [--corpus PATH] [--allow-large] [--json]
     pg corpus list
     pg numbers psl2 <q> | sz <q>
 
@@ -51,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--corpus", default=None, help="corpus file (one spec per line)")
     p_verify.add_argument("--allow-large", action="store_true",
                           help=f"raise the order cap to at least {ALLOW_LARGE_CAP}")
-    p_verify.add_argument("--min-hole-length", type=int, default=4)
     p_verify.add_argument("--json", action="store_true", dest="as_json")
     p_verify.set_defaults(run=_cmd_verify)
 
@@ -102,7 +101,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_verify(args) -> int:
     corpus = load_corpus(args.corpus) if args.corpus else default_corpus()
-    harness = Harness(corpus, cap=args.cap, min_hole_len=args.min_hole_length)
+    harness = Harness(corpus, cap=args.cap)
     reports = harness.run_all() if args.case == "all" else [harness.run_case(args.case)]
     if args.as_json:
         docs = [r.to_dict() for r in reports]

@@ -96,8 +96,9 @@ def _parse_atom(s: str, pos: int) -> tuple[GroupSpec, int]:
                 raise GroupSpecError(f"expected {piece!r}", p)
             p += len(piece)
         return AtomSpec(family, tuple(params)), p
-    ch = s[pos] if pos < len(s) else ""
-    raise GroupSpecError(f"unrecognized group family {ch!r}", pos)
+    if pos == len(s):  # only after an 'x': an empty spec never gets here
+        raise GroupSpecError("expected a group after 'x'", pos)
+    raise GroupSpecError(f"unrecognized group family {s[pos]!r}", pos)
 
 
 def spec_label(spec: GroupSpec) -> str:

@@ -192,13 +192,9 @@ class Harness:
     """Evaluates every verification case over one corpus, sharing group and
     graph construction across cases."""
 
-    def __init__(self, corpus: Corpus | None = None, cap: int | None = None,
-                 min_hole_len: int = 4):
-        if min_hole_len < 3:
-            raise ValueError(f"minimum hole length must be at least 3, got {min_hole_len}")
+    def __init__(self, corpus: Corpus | None = None, cap: int | None = None):
         self.corpus = corpus if corpus is not None else default_corpus()
         self.cap = cap
-        self.min_hole_len = min_hole_len
         self._bundles: dict[GroupSpec, GroupBundle] = {}
 
     def bundle(self, spec: GroupSpec) -> GroupBundle:
@@ -257,10 +253,7 @@ class Harness:
         # Chordal graphs have no holes at all; skip the exponential search.
         if case.hole is None or _mcs_is_chordal(red.graph):
             return True, None
-        # The minimum length is part of the even-hole statement only; a
-        # chordality check refutes with any hole.
-        min_len = self.min_hole_len if case.hole == "even" else 4
-        w = find_hole(red, parity=case.hole, min_len=min_len)
+        w = find_hole(red, parity=case.hole)
         return w is None, w
 
     def run_all(self) -> list[VerificationReport]:

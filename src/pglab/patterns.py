@@ -226,44 +226,30 @@ def _mcs_is_chordal(s: Graph) -> bool:
     return True
 
 
-def find_hole(g: Graph | TwinReducedGraph, parity: str = "any",
-              min_len: int = 4) -> Witness | None:
-    """First induced cycle with length >= min_len matching the parity filter.
-
-    parity: 'any', 'even', or 'odd'.  The witness pattern name is C<length>
-    and its vertices are in cycle order.  Deterministic: the cycle found has
-    the smallest possible minimum vertex, then follows ascending-id DFS.
-    The DFS extends a path only while some hole can still close it, which
-    ignores parity, so an 'odd' search may still take exponential time: on
-    P*(S6) and P*(E3^2 x D4) it runs for more than 20 s.
-    """
-    if parity not in ("any", "even", "odd"):
-        raise ValueError(f"parity must be any/even/odd, got {parity!r}")
-    if min_len < 3:
-        raise ValueError(f"cycle length is at least 3, got min_len={min_len}")
+def find_hole(g: Graph | TwinReducedGraph, parity: str = "any") -> Witness | None:
+    """First hole (induced cycle of length >= 4), or first even hole if
+    parity is 'even'.  The witness pattern name is C<length> and its
+    vertices are in cycle order.  Deterministic: the cycle found has the
+    smallest possible minimum vertex, then follows ascending-id DFS, which
+    extends a path only while some hole can still close it."""
+    if parity not in ("any", "even"):
+        raise ValueError(f"parity must be any/even, got {parity!r}")
+    even = parity == "even"
     red = _as_reduction(g)
     s = red.graph
-    # A triangle may lie in one closed twin class; a longer induced cycle meets
-    # a closed class at most once and an open one at most twice.
-    allowed = red.rank_masks[3 if min_len == 3 else 2]
-
-    def parity_ok(length: int) -> bool:
-        if parity == "even":
-            return length % 2 == 0
-        if parity == "odd":
-            return length % 2 == 1
-        return True
-
+    # An induced cycle of length >= 4 meets a closed twin class at most once
+    # and an open one at most twice.
+    allowed = red.rank_masks[2]
     # Search for cycles whose minimum vertex is start; path = [start, v1, ..., vk],
     # each vi > start, consecutive adjacent, non-consecutive non-adjacent.
     for start in _bits(allowed):
         above = ~((1 << (start + 1)) - 1) & allowed
         first_cands = s.adj[start] & above
         for v1 in _bits(first_cands):
-            found = _hole_dfs(s, start, v1, above, min_len, parity_ok)
+            found = _hole_dfs(s, start, v1, above, even)
             if found is not None:
                 original = tuple(red.retained[v] for v in found)
-                if not (len(original) >= min_len and parity_ok(len(original))
+                if not (len(original) >= 4 and not (even and len(original) % 2)
                         and _is_induced_cycle(red.original, original)):
                     raise RuntimeError(f"search produced an invalid hole {list(original)}")
                 return Witness(f"C{len(original)}", original,
@@ -282,8 +268,8 @@ def _is_induced_cycle(graph: Graph, cycle: tuple[int, ...]) -> bool:
         for i, v in enumerate(cycle))
 
 
-def _hole_dfs(s: Graph, start: int, v1: int, above: int, min_len: int,
-              parity_ok) -> list[int] | None:
+def _hole_dfs(s: Graph, start: int, v1: int, above: int,
+              even: bool) -> list[int] | None:
     """Depth-first over induced paths start, v1, ...: at each path, first the
     smallest closing vertex w > v1, then the extensions in ascending order.
     Iterative, so the path length is not bounded by the recursion limit.
@@ -291,8 +277,8 @@ def _hole_dfs(s: Graph, start: int, v1: int, above: int, min_len: int,
     A path's extensions are pushed only if some closing vertex can still be
     reached from its end (`_can_close`), so a subtree with no hole is not
     entered and the first hole found is the one found without the cut.  The
-    cut ignores length and parity: an `odd` search on a graph whose holes are
-    all even still enters every subtree that holds a hole."""
+    cut ignores length and parity: an `even` search on a graph whose holes
+    are all odd still enters every subtree that holds a hole."""
     adj = s.adj
     past_v1 = above & ~((1 << (v1 + 1)) - 1)
     path = [start, v1]
@@ -304,7 +290,7 @@ def _hole_dfs(s: Graph, start: int, v1: int, above: int, min_len: int,
         free = ~block & ~path_mask
         ends = adj[start] & past_v1 & free
         close = adj[vk] & ends
-        if close and length >= min_len and parity_ok(length):
+        if close and length >= 4 and not (even and length % 2):
             return path + [(close & -close).bit_length() - 1]
         inner = above & ~adj[start] & free
         step = adj[vk] & inner

@@ -155,7 +155,7 @@ def reference_twin_reduce(graph):
 # -- hole search without its reachability cut ---------------------------------
 
 
-def reference_hole_dfs(s, start, v1, above, min_len, parity_ok):
+def reference_hole_dfs(s, start, v1, above, even):
     """`patterns._hole_dfs` as it was before its reachability cut: every
     induced path start, v1, ... is extended, whether or not it can close."""
     adj = s.adj
@@ -166,7 +166,7 @@ def reference_hole_dfs(s, start, v1, above, min_len, parity_ok):
     pending = []  # pending[i]: untried extensions of path[:i + 2]
     while True:
         vk, length, block = path[-1], len(path) + 1, blocked[-1]
-        if length >= min_len and parity_ok(length):
+        if length >= 4 and not (even and length % 2):
             close = adj[vk] & adj[start] & past_v1 & ~block & ~path_mask
             if close:
                 return path + [(close & -close).bit_length() - 1]
@@ -184,10 +184,10 @@ def reference_hole_dfs(s, start, v1, above, min_len, parity_ok):
         path_mask |= low
 
 
-def reference_find_hole(g, parity="any", min_len=4):
+def reference_find_hole(g, parity="any"):
     """`find_hole` with `reference_hole_dfs` in place of the cut search."""
     with mock.patch.object(patterns, "_hole_dfs", reference_hole_dfs):
-        return find_hole(g, parity=parity, min_len=min_len)
+        return find_hole(g, parity=parity)
 
 
 # -- naive induced-pattern search ----------------------------------------------
@@ -400,10 +400,10 @@ def _is_induced_cycle(graph, subset):
     return len(seen) == len(subset)
 
 
-def naive_hole_lengths(graph, min_len=4):
-    """Sorted lengths of all induced cycles with length >= min_len."""
+def naive_hole_lengths(graph):
+    """Sorted lengths of all holes (induced cycles of length >= 4)."""
     lengths = set()
-    for k in range(min_len, graph.n + 1):
+    for k in range(4, graph.n + 1):
         for subset in combinations(range(graph.n), k):
             if _is_induced_cycle(graph, subset):
                 lengths.add(k)

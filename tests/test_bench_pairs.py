@@ -83,6 +83,17 @@ def test_summary_needs_nine_wins_in_ten_and_a_gap_wider_than_the_base_spread():
     assert mix.split()[-3:] == ["8/10", "no", "holds"]  # 8 wins
 
 
+def test_summary_reports_unresolved_where_the_base_spread_exceeds_the_bound():
+    base = [40.0, 80.0] * 5  # quartiles 40 and 80: a 40 MB spread, past 0.25 of 60
+    records = (_records("verify-large", base, [v + 5 for v in base])
+               + _records("analyze-mix", base, [30.0] * 10))
+    _, large, mix = bench_pairs.summary(records, "base", _BENCHMARK)
+    # 8% worse: within the bound, but the base's spread could hide more.
+    assert large.split()[-3:] == ["0/10", "no", "unresolved"]
+    # Every change run beats every base run, so the spread hides nothing.
+    assert mix.split()[-3:] == ["10/10", "no", "holds"]
+
+
 def _traced(workload, commit, values):
     return {"commit": commit, "workload": workload, "trace": 1, "seed": 1,
             "result": {"metrics": {m: {"unit": "x", "value": v} for m, v in values.items()}}}

@@ -171,21 +171,13 @@ def test_verify_bad_corpus_line(tmp_path, capsys):
     assert main(["verify", "T-DIAMOND", "--corpus", str(corpus)]) == 2
 
 
-def test_verify_min_hole_length_flag(tmp_path, capsys):
-    corpus = tmp_path / "corpus.txt"
-    corpus.write_text("C6\n")
-    assert main(
-        ["verify", "T-EVENHOLE-DIAMOND", "--corpus", str(corpus),
-         "--min-hole-length", "6", "--json"]
-    ) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["theorem"] == "T-EVENHOLE-DIAMOND"
-
-
-@pytest.mark.parametrize("length", ["2", "0", "-5"])
-def test_verify_min_hole_length_below_three_is_rejected(length, capsys):
-    assert main(["verify", "all", "--min-hole-length", length]) == 2
-    assert "minimum hole length must be at least 3" in capsys.readouterr().err
+def test_verify_min_hole_length_flag(capsys):
+    """`verify` takes no hole length: a hole has length at least 4 in every
+    case that searches for one."""
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "all", "--min-hole-length", "6"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --min-hole-length" in capsys.readouterr().err
 
 
 # -- corpus / numbers ----------------------------------------------------------------

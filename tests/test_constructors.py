@@ -67,6 +67,13 @@ def test_parse_rejects_malformed_specs(bad):
     assert info.value.position == _MALFORMED[bad]
 
 
+@pytest.mark.parametrize("bad", ["C3x", "C4xC2x"])
+def test_parse_names_the_group_missing_after_x(bad):
+    with pytest.raises(GroupSpecError, match="expected a group after 'x'") as info:
+        parse_group_spec(bad)
+    assert info.value.position == len(bad)
+
+
 def test_spec_label_roundtrip():
     atoms = ("PSL(2,7)", "SL(2,5)", "SD(7,3,2)", "C12", "D5", "S4", "A5", "Q16", "E2^3")
     assert [parse_group_spec(t).family for t in atoms] == list(FAMILIES)

@@ -418,17 +418,18 @@ def test_harness_cap_applies():
         h.run_case("T-CHAIN")
 
 
-def test_min_hole_len_plumbs_through():
-    """The minimum hole length reaches the even-hole search: on a (synthetic)
-    diamond-free 6-ring, length 4 finds the hole and length 8 does not."""
+def test_even_hole_case_reports_the_ring_hole():
+    """The even-hole search runs on the case's search graph: on a (synthetic)
+    diamond-free 6-ring, T-EVENHOLE-DIAMOND's graph side is false, with the
+    C6 as its witness."""
     from pglab import Graph
 
     ring6 = Graph([0b100010, 0b000101, 0b001010, 0b010100, 0b101000, 0b010001])
-    for min_len, expected in ((4, False), (8, True)):
-        h = Harness(Corpus(_specs("C7"), (), ()), min_hole_len=min_len)
-        h.bundle(h.corpus.entries[0])._reduction = twin_reduce(ring6)
-        report = h.run_case("T-EVENHOLE-DIAMOND")
-        assert report.entries[0].graph_side is expected
+    h = Harness(Corpus(_specs("C7"), (), ()))
+    h.bundle(h.corpus.entries[0])._reduction = twin_reduce(ring6)
+    record = h.run_case("T-EVENHOLE-DIAMOND").entries[0]
+    assert record.graph_side is False
+    assert record.witness == tuple(ring6.label(v) for v in (0, 1, 2, 3, 4, 5))
 
 
 # -- analyze_group -----------------------------------------------------------------------

@@ -245,22 +245,26 @@ def test_find_hole_on_rings():
     c6 = _ring(6)
     w = find_hole(c6)
     assert w is not None and w.pattern == "C6" and len(w.vertices) == 6
-    assert find_hole(c6, parity="even") is not None
-    assert find_hole(c6, parity="odd") is None
-    assert find_hole(c6, min_len=7) is None
+    assert find_hole(c6, parity="even") == w
 
     c7 = _ring(7)
-    assert find_hole(c7, parity="odd").pattern == "C7"
+    assert find_hole(c7).pattern == "C7"
     assert find_hole(c7, parity="even") is None
 
 
 def test_find_hole_respects_bounds_and_validates():
     c5 = _ring(5)
-    assert find_hole(c5, min_len=5).pattern == "C5"
+    assert find_hole(c5).pattern == "C5"
+    assert find_hole(_ring(3)) is None  # a triangle is no hole
     with pytest.raises(ValueError):
         find_hole(c5, parity="prime")
-    with pytest.raises(ValueError):
-        find_hole(c5, min_len=2)
+
+
+def test_find_hole_rejects_odd_parity():
+    """No case asks for an odd hole, so the search answers only 'any' and
+    'even'."""
+    with pytest.raises(ValueError, match="any/even"):
+        find_hole(_ring(5), parity="odd")
 
 
 def test_find_hole_witness_is_cycle_order():
@@ -292,7 +296,7 @@ def test_find_hole_rejects_an_invalid_cycle(monkeypatch, corrupt):
 
 def test_triangle_free_square():
     c4 = _ring(4)
-    assert find_hole(c4, min_len=3).pattern == "C4"
+    assert find_hole(c4).pattern == "C4"
     assert find_induced_pattern(c4, "C3") is None
 
 
@@ -356,33 +360,25 @@ def test_reduced_search_finds_the_unreduced_first_witness():
         for name in PATTERNS:
             assert find_induced_pattern(red, name) == find_induced_pattern(whole, name), (
                 trial, name, g.adj)
-        for parity in ("any", "even", "odd"):
-            for min_len in (3, 4, 5):
-                assert (find_hole(red, parity=parity, min_len=min_len)
-                        == find_hole(whole, parity=parity, min_len=min_len)), (
-                    trial, parity, min_len, g.adj)
+        for parity in ("any", "even"):
+            assert find_hole(red, parity=parity) == find_hole(whole, parity=parity), (
+                trial, parity, g.adj)
     assert large_classes >= 30
 
 
 @pytest.mark.parametrize("spec", DEFAULT_CORPUS_SPECS + ("C3xC4xC2", "C4xC9"))
 def test_cut_hole_search_matches_the_uncut_search(spec):
     """The reachability cut drops only subtrees with no hole, so every
-    search returns the uncut search's first hole.  S6 has holes but no odd
-    one within reach of either search: its odd search is left out, since it
-    enumerates every induced path with the cut and without it."""
+    search returns the uncut search's first hole."""
     red = twin_reduce(build_power_graph(build_group(spec), proper=True))
-    for parity in ("any", "even") if spec == "S6" else ("any", "even", "odd"):
-        for min_len in (4, 6):
-            assert (find_hole(red, parity=parity, min_len=min_len)
-                    == reference_find_hole(red, parity=parity, min_len=min_len)), (
-                parity, min_len)
+    for parity in ("any", "even"):
+        assert find_hole(red, parity=parity) == reference_find_hole(red, parity=parity), parity
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_graphs(), st.sampled_from(("any", "even", "odd")), st.integers(3, 6))
-def test_cut_hole_search_matches_the_uncut_search_on_small_graphs(graph, parity, min_len):
-    assert (find_hole(graph, parity=parity, min_len=min_len)
-            == reference_find_hole(graph, parity=parity, min_len=min_len))
+@given(small_graphs(), st.sampled_from(("any", "even")))
+def test_cut_hole_search_matches_the_uncut_search_on_small_graphs(graph, parity):
+    assert find_hole(graph, parity=parity) == reference_find_hole(graph, parity=parity)
 
 
 def test_hole_search_cuts_paths_that_cannot_close():
@@ -411,9 +407,7 @@ def test_hole_search_against_naive_enumeration():
         lengths = naive_hole_lengths(g)
         assert (find_hole(g) is None) == (not lengths), (trial, adj)
         evens = [k for k in lengths if k % 2 == 0]
-        odds = [k for k in lengths if k % 2 == 1]
         assert (find_hole(g, parity="even") is None) == (not evens), (trial, adj)
-        assert (find_hole(g, parity="odd") is None) == (not odds), (trial, adj)
         assert _mcs_is_chordal(g) == (not lengths), (trial, adj)
         verdict, witness = is_chordal(g)
         assert verdict == (not lengths)

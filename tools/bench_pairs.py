@@ -22,6 +22,9 @@ their quartiles, the pairs (same seed) the change won, whether the gain
 rule holds (at least 9 of 10 pairs won, and a median gap wider than the
 base's interquartile range) and whether the metric's bound holds (the
 change median no worse than the base median by more than ``bound`` of it).
+A bound that holds is ``unresolved`` when the base's interquartile range
+is wider than ``bound`` of its median and not every change run beats every
+base run: the base's own spread could hide a regression that large.
 Then it prints one row per workload and ``per_layer`` metric: the values of
 the traced seed-1 runs of the base and of the change, and change / base for
 counts and ratios.  A time from one traced run per side is too noisy to
@@ -95,10 +98,13 @@ def summary(records: list[dict], base: str, benchmark: dict) -> list[str]:
             won = sum(sign * (sides[1][s] - sides[0][s]) < 0 for s in seeds)
             gain = 10 * won >= 9 * len(seeds) and sign * (med - cmed) > q3 - q1
             bound = sign * (cmed - med) <= metric["bound"] * abs(med)
+            spread = q3 - q1 > metric["bound"] * abs(med)
+            beats = max(sign * sides[1][s] for s in seeds) < min(sign * sides[0][s] for s in seeds)
+            verdict = "FAILS" if not bound else "unresolved" if spread and not beats else "holds"
             rows.append(f"{workload['name']:<15} {metric['name']:<15} "
                         f"{_quartiles(med, q1, q3):>27} {_quartiles(cmed, c1, c3):>27} "
                         f"{won:>3}/{len(seeds):<2}  {'yes' if gain else 'no':<4}  "
-                        f"{'holds' if bound else 'FAILS'}")
+                        f"{verdict}")
     return rows
 
 
