@@ -180,6 +180,15 @@ def test_verify_min_hole_length_flag(capsys):
     assert "unrecognized arguments: --min-hole-length" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("length", ["2", "0", "-5"])
+def test_verify_min_hole_length_below_three_is_rejected(length, capsys):
+    """A length below 3 still exits 2, now because the flag itself is gone."""
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "all", "--min-hole-length", length])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --min-hole-length" in capsys.readouterr().err
+
+
 # -- corpus / numbers ----------------------------------------------------------------
 
 
