@@ -7,9 +7,11 @@ integer indices, so the payload representation (permutation tuples, matrix
 tuples, residue pairs) only matters inside `compose` and `render`.
 
 `Group.cyclic_subgroups` walks the powers of one generator of each cyclic
-subgroup once.  The power graph is built from its output, and the element
-orders are read off the same walk, each written once, at a generator.  A
-complete walk drops the payload index; `compose` and `index_of` rebuild it.
+subgroup once, one `compose` call per power.  The power graph is built from
+its output, and the element orders are read off the same walk, each written
+once, at a generator; so a written order marks an element already yielded.
+The generator positions are found once per order o in each walk.  A complete
+walk drops the payload index; `compose` and `index_of` rebuild it.
 
 Element order of a BFS closure is deterministic: identity first, then the
 generators in the order given, then products in breadth-first discovery
@@ -97,27 +99,28 @@ class Group:
         Elements are taken in index order, skipping any that generates a
         subgroup already yielded.  For a new u, one walk u, u^2, ..., u^o = 0
         gives the members in power order; the generators are the u^k with
-        gcd(k, o) = 1.  Every element generates one subgroup yielded, so a
-        complete walk fills the order cache with o at each generator; then it
-        drops the payload index.  Cost: about the sum of |<u>| over the
-        distinct subgroups, instead of the sum of o(u) over all elements.
+        gcd(k, o) = 1, at positions k - 1 listed once per o.  Each element
+        generates one yielded subgroup, so a complete walk fills the order
+        cache with o at each generator, then drops the payload index.  Cost:
+        about the sum of |<u>| over the distinct subgroups, not of o(u) over all elements.
         """
-        n = self.order
-        orders = array("i", bytes(4 * n))
-        done = bytearray(n)
-        for u in range(n):
-            if done[u]:
+        orders = array("i", bytes(4 * self.order))  # 0 until yielded
+        compose = self.compose
+        units: dict[int, list[int]] = {}  # o -> the k - 1 with gcd(k, o) = 1
+        for u in range(self.order):
+            if orders[u]:
                 continue
             members = [u]
             x = u
             while x != 0:
-                x = self.compose(x, u)
+                x = compose(x, u)
                 members.append(x)
             o = len(members)
-            generators = [x for k, x in enumerate(members, 1) if math.gcd(k, o) == 1]
+            if o not in units:
+                units[o] = [k - 1 for k in range(1, o + 1) if math.gcd(k, o) == 1]
+            generators = list(map(members.__getitem__, units[o]))
             for g in generators:
                 orders[g] = o
-                done[g] = 1
             yield generators, members
         self._orders = orders
         # pop, not del: a second walk of the trivial group finds no index.
@@ -163,13 +166,13 @@ def close_generators(
         for i in frontier:
             for g in gens:
                 prod = compose_payloads(elements[i], g)
-                if prod not in index:
-                    if len(elements) >= effective_cap:
+                k = len(elements)
+                if index.setdefault(prod, k) == k:  # a new element
+                    if k >= effective_cap:
                         raise CapExceededError(
                             f"closure exceeds cap {effective_cap} (label {label!r})")
-                    index[prod] = len(elements)
                     elements.append(prod)
-                    new_frontier.append(index[prod])
+                    new_frontier.append(k)
         frontier = new_frontier
 
     return Group(index, compose_payloads, label, render_payload)

@@ -16,11 +16,11 @@ inclusion.  So P*(G) is the comparability graph of the nontrivial cyclic
 subgroups, each subgroup C blown up into a clique of its phi(|C|)
 generators: one block per subgroup.  It walks each cyclic subgroup once
 (`Group.cyclic_subgroups`), and C's quotient row holds the subgroups <u^d>
-for the proper divisors d of |C|, plus the transpose.  The proper power
-graph P*(G) drops the identity (vertex i of P*(G) is group element i+1);
-P(G) is P*(G) plus the identity, a block adjacent to every other
-(`with_identity`).  Labels are rendered on demand (`Graph.label`), so only
-the vertices a report names, or an export, are ever rendered.
+for the proper divisors d of |C|, listed once per order, plus the transpose;
+the element -> block map the walk fills is the graph's `block_of`.  P*(G)
+drops the identity (its vertex i is group element i+1); P(G) adds it back,
+a block adjacent to every other (`with_identity`).  Labels are rendered on
+demand (`Graph.label`), only for the vertices a report names, or an export.
 
 `twin_reduce` shrinks a graph by interchangeability classes (vertices with
 identical closed neighborhoods — adjacent twins — or identical open
@@ -41,7 +41,8 @@ class in at most m(H) vertices, the size of H's own largest twin class, so
 a search for H needs only the first m(H) members of each class;
 `TwinReducedGraph.rank_masks` marks them.  The search graph shares the
 graph's quotient, each block cut to its retained members, so the reduction
-builds no rows; its cut, classes, retained ids and degrees are flat arrays.
+builds no rows; its cut, classes, retained ids and degrees are flat arrays,
+and a degree is summed per block from `RETAIN` masks (see `twin_reduce`).
 Witnesses translate straight back because representatives are original
 vertex ids.
 """
@@ -49,11 +50,12 @@ vertex ids.
 from __future__ import annotations
 
 import json
+import operator
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, pairwise
+from itertools import accumulate, compress, pairwise, repeat
 
 from .group_kernel import Group
 
@@ -72,8 +74,8 @@ def _bits(mask: int):
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _mask(flags: list[bool]) -> int:
-    """The bitmask with bit i set for each true flags[i]."""
+def _mask(flags: list[bool] | bytes) -> int:
+    """The bitmask with bit i set for each true flags[i] (bytes of 0 or 1)."""
     return int(bytes(flags)[::-1].translate(_DIGITS) or b"0", 2)
 
 
@@ -110,15 +112,17 @@ class Graph:
     is v's block.  `adjacency[b]` is the bitmask of the blocks joined to
     block b, every member to every member.  `blocks` is a `Partition` or a
     list of blocks; without it every vertex is a block of its own (singleton
-    blocks), so `adjacency[v]` is the bitmask of v's neighbours.  Rows are
-    filled only by `row`, when first read.  `labels` is either the list of
-    vertex labels or a function that renders the label of vertex v on
-    demand; by default vertex v is labelled str(v).
+    blocks), so `adjacency[v]` is the bitmask of v's neighbours.  `block_of`
+    is derived, unless a builder here hands over the map it holds as
+    `_block_of`.  Rows are filled only by `row`, when first read.  `labels`
+    is either the list of vertex labels or a function that renders the label
+    of vertex v on demand; by default vertex v is labelled str(v).
     """
 
     def __init__(self, adjacency: list[int],
                  labels: Sequence[str] | Callable[[int], str] = str,
-                 blocks: Partition | Iterable[Iterable[int]] | None = None) -> None:
+                 blocks: Partition | Iterable[Iterable[int]] | None = None,
+                 *, _block_of: array | None = None) -> None:
         if blocks is None:
             blocks = ((v,) for v in range(len(adjacency)))
         if not isinstance(blocks, Partition):
@@ -127,10 +131,14 @@ class Graph:
         self.members: array = blocks.members
         self.start: array = blocks.start
         self.n: int = len(self.members)
-        self.block_of: array = array("i", bytes(4 * self.n))
-        for b, (lo, hi) in enumerate(pairwise(self.start)):
-            for v in self.members[lo:hi]:
-                self.block_of[v] = b
+        if _block_of is None:
+            _block_of = array("i", bytes(4 * self.n))
+            for b, (lo, hi) in enumerate(pairwise(self.start)):
+                for v in self.members[lo:hi]:
+                    _block_of[v] = b
+        elif len(_block_of) != self.n:
+            raise ValueError("block map length does not match vertex count")
+        self.block_of: array = _block_of
         if not callable(labels):
             if len(labels) != self.n:
                 raise ValueError("label count does not match vertex count")
@@ -198,30 +206,35 @@ def build_power_graph(group: Group, proper: bool = False) -> Graph:
     rendered when asked for.  With proper=True vertex 0 (the identity) is
     dropped and the remaining vertices shift down by one.
     """
-    sub_of = [0] * group.order  # element -> block of the subgroup it generates
+    sub_of = array("i", bytes(4 * group.order))  # element -> block of <element>
     blocks = Partition()
     add, end = blocks.members.extend, blocks.start.append
     # below_x[i] generates a proper subgroup of block below_c[i]'s subgroup.
     below_c, below_x = array("i"), array("i")
+    # o -> the d - 1 for the divisors 1 < d < o: members[d - 1] = u^d
+    # generates the subgroup of <u> of order o / d.
+    divisors: dict[int, list[int]] = {}
+    c = 0
     for generators, members in group.cyclic_subgroups():
         o = len(members)
         if o == 1:
             continue  # the trivial subgroup, which holds only the identity
-        c = len(blocks)
         for g in generators:
             sub_of[g] = c
         add(sorted([g - 1 for g in generators]))
         end(len(blocks.members))
-        # members[d - 1] = u^d generates the subgroup of <u> of order o / d.
-        powers = [members[d - 1] for d in range(2, o) if o % d == 0]
-        below_x.extend(powers)
-        below_c.extend([c] * len(powers))
-    quotient = [0] * len(blocks)
+        if o not in divisors:
+            divisors[o] = [d - 1 for d in range(2, o) if o % d == 0]
+        if powers := divisors[o]:  # o is not prime
+            below_x.extend(map(members.__getitem__, powers))
+            below_c.extend([c] * len(powers))
+        c += 1
+    quotient = [0] * c
     for c, x in zip(below_c, below_x):
         d = sub_of[x]
         quotient[c] |= 1 << d
         quotient[d] |= 1 << c
-    star = Graph(quotient, lambda v: group.render(v + 1), blocks)
+    star = Graph(quotient, lambda v: group.render(v + 1), blocks, _block_of=sub_of[1:])
     return star if proper else with_identity(star, group.render(0))
 
 
@@ -232,7 +245,8 @@ def with_identity(star: Graph, label: str) -> Graph:
     blocks.members.extend(v + 1 for v in star.members)
     blocks.start.extend(s + 1 for s in star.start[1:])
     return Graph([(1 << len(star.quotient) + 1) - 2] + [row << 1 | 1 for row in star.quotient],
-                 lambda v: star.label(v - 1) if v else label, blocks)
+                 lambda v: star.label(v - 1) if v else label, blocks,
+                 _block_of=array("i", [0, *(b + 1 for b in star.block_of)]))
 
 
 @dataclass
@@ -322,25 +336,33 @@ def twin_reduce(graph: Graph) -> TwinReducedGraph:
         end(len(classes.members))
         for i, v in enumerate(part[:RETAIN]):
             rank[v] = i
-    retained = array("i", (v for v, r in enumerate(rank) if r < RETAIN))
-    rank_masks = [_mask([rank[v] < m for v in retained]) for m in range(RETAIN + 1)]
+    below = [b"\1" * m + bytes(256 - m) for m in range(RETAIN + 1)]  # byte r -> r < m
+    kept_flags = rank.translate(below[RETAIN])
+    retained = array("i", compress(range(graph.n), kept_flags))
+    ranks = bytes(compress(rank, kept_flags))  # ranks[i]: retained[i]'s rank
+    rank_masks = [_mask(ranks.translate(t)) for t in below]
     if len(retained) == graph.n:
-        search, kept = graph, size
+        search, kept = graph, bytearray(size)  # no block exceeds RETAIN
     else:
         # The search graph's blocks: block b cut to its retained members,
         # renumbered by rank in `retained` (a stable sort by block).
-        block = [graph.block_of[v] for v in retained]
-        kept = [0] * len(rows)  # kept[b]: block b's retained members
+        block = array("i", map(graph.block_of.__getitem__, retained))
+        kept = bytearray(len(rows))  # kept[b]: block b's retained members
         for b in block:
             kept[b] += 1
         cut = Partition()
         cut.members.extend(sorted(range(len(block)), key=block.__getitem__))
         cut.start.extend(accumulate(kept))
-        search = Graph(graph.quotient, lambda k: graph.label(retained[k]), cut)
+        search = Graph(graph.quotient, lambda k: graph.label(retained[k]), cut,
+                       _block_of=block)
     # A search vertex's degree: the search vertices in its block's closed
-    # neighbourhood, less itself.
-    degree = [k - 1 + sum(kept[d] for d in _bits(rows[b])) if k else 0
-              for b, k in enumerate(kept)]
+    # neighbourhood, less itself.  Summed over a row, kept[d] is the sum over
+    # j of the row's blocks keeping >= j; a block lies in one class, so j <= RETAIN.
+    degree = [k - 1 for k in kept]  # an empty block's entry is never read
+    for j in range(1, max(kept, default=0) + 1):
+        at_least = _mask(kept.translate(bytes(j) + b"\1" * (256 - j)))  # k -> k >= j
+        counts = map(int.bit_count, map(operator.and_, graph.quotient, repeat(at_least)))
+        degree = list(map(operator.add, degree, counts))
     return TwinReducedGraph(
         original=graph,
         classes=classes,

@@ -77,8 +77,11 @@ def test_element_order_matches_naive_walk(spec):
         assert orders[v] == naive_element_order(g, v)
 
 
-@pytest.mark.parametrize("spec", ["C12", "S4", "Q16", "E2^3", "SD(7,3,2)"])
+@pytest.mark.parametrize("spec", ["C12", "S4", "Q16", "E2^3", "SD(7,3,2)",
+                                  "C360", "C4xC9xC5", "S5", "PSL(2,7)"])
 def test_cyclic_subgroups_are_each_yielded_once(spec):
+    """A walk lists the generator positions once per element order; the
+    last four groups have element orders with many divisors, up to 360."""
     g = build_group(spec)
     seen = set()
     generated = []

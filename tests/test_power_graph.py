@@ -1,6 +1,7 @@
 import json
 import os
 import tracemalloc
+from array import array
 from collections import Counter
 from itertools import pairwise
 
@@ -302,10 +303,11 @@ def _assert_same_reduction(red, ref):
                                             + LARGE_SPECS)))
 def test_quotient_reduction_matches_reference(spec):
     """Reducing P*(G) on its cyclic-subgroup quotient gives, field for field,
-    the reduction of its vertex rows."""
+    the reduction of its vertex rows, with each search block inside `RETAIN`."""
     graph = build_power_graph(build_group(spec, LARGE_CAP), proper=True)
     red = twin_reduce(graph)
     _assert_same_reduction(red, reference_twin_reduce(Graph(list(graph.adj), graph.label)))
+    _assert_blocks_keep_at_most_retain(red.graph)
 
 
 @st.composite
@@ -370,8 +372,10 @@ def test_rows_filled_on_demand_match_reference(graphs, data):
 def _assert_flat_blocks(graph):
     """`members`, `start` and `block_of` agree: every vertex lies in exactly
     one block, each block ascends, and non-empty blocks ascend by least
-    member."""
+    member.  `block_of` holds one entry per vertex, whether the graph derived
+    it or its builder handed it over."""
     members, start = list(graph.members), list(graph.start)
+    assert len(graph.block_of) == graph.n
     assert sorted(members) == list(range(graph.n))
     assert start[0] == 0 and start[-1] == graph.n and start == sorted(start)
     assert len(start) == len(graph.quotient) + 1
@@ -391,11 +395,34 @@ def test_flat_blocks_agree(graphs):
         _assert_flat_blocks(graph)
 
 
-@pytest.mark.parametrize("spec", ["C1", "C12", "E2^4", "S4", "A5", "Q16"])
+@pytest.mark.parametrize("spec", ["C1", "C12", "E2^4", "S4", "A5", "Q16", *LARGE_SPECS])
 def test_flat_blocks_of_power_graphs_agree(spec):
-    star = build_power_graph(build_group(spec), proper=True)
-    for graph in (star, build_power_graph(build_group(spec)), twin_reduce(star).graph):
+    """P*(G) and P(G) take their `block_of` from the build, and a cut search
+    graph from `twin_reduce`; of the large-corpus groups only E3^9 keeps
+    every vertex, so its search graph is P*(G) itself."""
+    star = build_power_graph(build_group(spec, LARGE_CAP), proper=True)
+    search = twin_reduce(star).graph
+    assert (search is star) == (spec in ("C1", "E3^9"))
+    for graph in (star, build_power_graph(build_group(spec, LARGE_CAP)), search):
         _assert_flat_blocks(graph)
+
+
+def test_handed_over_block_map_must_cover_every_vertex():
+    with pytest.raises(ValueError, match="block map length"):
+        Graph([0, 0], blocks=[[0], [1]], _block_of=array("i", [0]))
+
+
+def _assert_blocks_keep_at_most_retain(search):
+    """No search-graph block keeps more than `RETAIN` members: a block lies
+    in one twin class.  `twin_reduce` sums degrees on that bound."""
+    assert all(len(search.block(b)) <= RETAIN for b in range(len(search.quotient)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(blown_up_graphs())
+def test_search_blocks_of_blow_ups_keep_at_most_retain(graphs):
+    blown, _explicit = graphs
+    _assert_blocks_keep_at_most_retain(twin_reduce(blown).graph)
 
 
 def _assert_reduces_search_graph(search):
