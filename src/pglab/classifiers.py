@@ -310,7 +310,15 @@ def rhs_p2p3_nonnilpotent(f: StructureFlags) -> bool:
 
 
 def rhs_diamond(f: StructureFlags) -> bool:
-    """Diamond-free proper power graph ⟺ p-group or EPPO."""
+    """Diamond-free proper power graph ⟺ p-group or EPPO.
+
+    A diamond-free power graph has no hole, so T-EVENHOLE-DIAMOND's hole
+    clause never decides a verdict on P*(G).  Order the vertices by
+    <u> <= <v>, as in `find_hole`: a peak b of a hole has two hole
+    neighbours a1 and a2 in <b>, and they are incomparable.  The subgroups
+    of a cyclic p-group form a chain, so |b| is not a prime power, and
+    phi(|b|) >= 2.  A second generator b' of <b> is adjacent to b, a1 and
+    a2, so {b, b', a1, a2} is a diamond."""
     return f.is_p_group or f.is_eppo
 
 
@@ -320,7 +328,15 @@ def rhs_diamond_codiamond(f: StructureFlags) -> bool:
 
 
 def rhs_cograph_nullprime(f: StructureFlags) -> bool:
-    """Sanity: EPPO (null prime graph) groups always have cograph P(G)."""
+    """Sanity: EPPO (null prime graph) groups always have cograph P(G).
+
+    P(G) has no P4 and no hole.  In an EPPO group every <b> is a cyclic
+    p-group, whose subgroups form a chain, so no vertex lies above two
+    incomparable vertices in the order <u> <= <v> (see `find_hole`).  In an
+    induced path a - b - c, a and c are incomparable, so b is neither
+    between them nor above both: b lies below both.  A hole has a vertex
+    above its two neighbours.  A P4 a - b - c - d puts b below c and c
+    below b, so <b> = <c>, and then a, adjacent to b, is adjacent to c."""
     return True
 
 
@@ -350,20 +366,22 @@ class Case:
 
     The graph side holds on P*(G) unless one of `patterns` (searched in this
     order) occurs as an induced subgraph, or, with `hole` set, P*(G) has a
-    hole of that parity.  P(G) is P*(G) plus the identity, adjacent to every
-    other vertex, and neither these patterns nor a hole has such a vertex,
-    so the P(G) statements read the same on P*(G).  `family` and `when`
-    restrict the corpus entries the case covers.  `rhs` takes the entry's
-    StructureFlags, or the field size q where `by_q` is set.  With `pairs`
-    set the case covers ordered pairs of product sub-corpus members instead,
-    and `rhs` takes both factors' flags.  A case with neither patterns nor a
-    hole is rhs-only, over the corpus's Suzuki parameters q, which `rhs` takes.
+    hole.  Every hole of P*(G) is even (see `find_hole`), so "no hole" and
+    "no even hole" are one statement there.  P(G) is P*(G) plus the
+    identity, adjacent to every other vertex, and neither these patterns nor
+    a hole has such a vertex, so the P(G) statements read the same on P*(G).
+    `family` and `when` restrict the corpus entries the case covers.  `rhs`
+    takes the entry's StructureFlags, or the field size q where `by_q` is
+    set.  With `pairs` set the case covers ordered pairs of product
+    sub-corpus members instead, and `rhs` takes both factors' flags.  A case
+    with neither patterns nor a hole is rhs-only, over the corpus's Suzuki
+    parameters q, which `rhs` takes.
     """
 
     id: str
     rhs: Callable[..., bool]
     patterns: tuple[str, ...] = ()
-    hole: str | None = None
+    hole: bool = False
     family: str | None = None
     when: Callable[[StructureFlags], bool] | None = None
     by_q: bool = False
@@ -371,7 +389,7 @@ class Case:
 
     @property
     def rhs_only(self) -> bool:
-        return not self.patterns and self.hole is None
+        return not self.patterns and not self.hole
 
 
 def _nilpotent(f: StructureFlags) -> bool:
@@ -401,10 +419,10 @@ CASES: dict[str, Case] = {c.id: c for c in (
     Case("T-P2P3-NILP", rhs_p2p3_nilpotent, _P2P3, when=_nilpotent),
     Case("T-P2P3-NONNILP", rhs_p2p3_nonnilpotent, _P2P3, when=_not_nilpotent),
     Case("T-DIAMOND", rhs_diamond, ("diamond",)),
-    Case("T-EVENHOLE-DIAMOND", rhs_diamond, ("diamond",), hole="even"),
+    Case("T-EVENHOLE-DIAMOND", rhs_diamond, ("diamond",), hole=True),
     Case("T-DIAMOND-CODIAMOND", rhs_diamond_codiamond, ("diamond", "co-diamond")),
     Case("S-COGRAPH-NULLPRIME", rhs_cograph_nullprime, ("P4",), when=_eppo),
-    Case("S-CHORDAL-NILP", rhs_chordal_nilpotent, hole="any", when=_nilpotent),
+    Case("S-CHORDAL-NILP", rhs_chordal_nilpotent, hole=True, when=_nilpotent),
     Case("S-COGRAPH-NILP", rhs_cograph_nilpotent, ("P4",), when=_nilpotent),
 )}
 

@@ -251,9 +251,9 @@ class Harness:
             if w is not None:
                 return False, w
         # Chordal graphs have no holes at all; skip the exponential search.
-        if case.hole is None or _mcs_is_chordal(red.graph):
+        if not case.hole or _mcs_is_chordal(red.graph):
             return True, None
-        w = find_hole(red, parity=case.hole)
+        w = find_hole(red)
         return w is None, w
 
     def run_all(self) -> list[VerificationReport]:

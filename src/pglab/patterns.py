@@ -226,15 +226,20 @@ def _mcs_is_chordal(s: Graph) -> bool:
     return True
 
 
-def find_hole(g: Graph | TwinReducedGraph, parity: str = "any") -> Witness | None:
-    """First hole (induced cycle of length >= 4), or first even hole if
-    parity is 'even'.  The witness pattern name is C<length> and its
-    vertices are in cycle order.  Deterministic: the cycle found has the
-    smallest possible minimum vertex, then follows ascending-id DFS, which
-    extends a path only while some hole can still close it."""
-    if parity not in ("any", "even"):
-        raise ValueError(f"parity must be any/even, got {parity!r}")
-    even = parity == "even"
+def find_hole(g: Graph | TwinReducedGraph) -> Witness | None:
+    """First hole (induced cycle of length >= 4).  The witness pattern name
+    is C<length> and its vertices are in cycle order.  Deterministic: the
+    cycle found has the smallest possible minimum vertex, then follows
+    ascending-id DFS, which extends a path only while some hole can still
+    close it.
+
+    On a power graph every hole is even, so P*(G) has no C5.  P(G) is the
+    comparability graph of the preorder <u> <= <v> (Aalipour, Akbari,
+    Cameron, Nikandish and Shaveisi 2017).  The vertices of a hole generate
+    distinct cyclic subgroups, since two generators of one subgroup are
+    closed twins.  Along a hole no vertex has one neighbour above it and one
+    below, since those two would be comparable, hence adjacent.  So peaks
+    and valleys alternate, and the hole has even length."""
     red = _as_reduction(g)
     s = red.graph
     # An induced cycle of length >= 4 meets a closed twin class at most once
@@ -246,11 +251,10 @@ def find_hole(g: Graph | TwinReducedGraph, parity: str = "any") -> Witness | Non
         above = ~((1 << (start + 1)) - 1) & allowed
         first_cands = s.adj[start] & above
         for v1 in _bits(first_cands):
-            found = _hole_dfs(s, start, v1, above, even)
+            found = _hole_dfs(s, start, v1, above)
             if found is not None:
                 original = tuple(red.retained[v] for v in found)
-                if not (len(original) >= 4 and not (even and len(original) % 2)
-                        and _is_induced_cycle(red.original, original)):
+                if not _is_induced_cycle(red.original, original):
                     raise RuntimeError(f"search produced an invalid hole {list(original)}")
                 return Witness(f"C{len(original)}", original,
                                tuple(red.original.label(v) for v in original))
@@ -258,27 +262,24 @@ def find_hole(g: Graph | TwinReducedGraph, parity: str = "any") -> Witness | Non
 
 
 def _is_induced_cycle(graph: Graph, cycle: tuple[int, ...]) -> bool:
-    """Whether `cycle`, in order, induces a cycle of its length in `graph`:
-    its vertices are distinct, and each one's row, masked to the cycle, is
+    """Whether `cycle`, in order, is a hole of `graph`: it has at least four
+    vertices, they are distinct, and each one's row, masked to the cycle, is
     exactly its two cycle neighbours."""
     k = len(cycle)
     on_cycle = sum(1 << v for v in set(cycle))
-    return on_cycle.bit_count() == k >= 3 and all(
+    return on_cycle.bit_count() == k >= 4 and all(
         graph.row(v) & on_cycle == 1 << cycle[i - 1] | 1 << cycle[(i + 1) % k]
         for i, v in enumerate(cycle))
 
 
-def _hole_dfs(s: Graph, start: int, v1: int, above: int,
-              even: bool) -> list[int] | None:
+def _hole_dfs(s: Graph, start: int, v1: int, above: int) -> list[int] | None:
     """Depth-first over induced paths start, v1, ...: at each path, first the
     smallest closing vertex w > v1, then the extensions in ascending order.
     Iterative, so the path length is not bounded by the recursion limit.
 
     A path's extensions are pushed only if some closing vertex can still be
     reached from its end (`_can_close`), so a subtree with no hole is not
-    entered and the first hole found is the one found without the cut.  The
-    cut ignores length and parity: an `even` search on a graph whose holes
-    are all odd still enters every subtree that holds a hole."""
+    entered and the first hole found is the one found without the cut."""
     adj = s.adj
     past_v1 = above & ~((1 << (v1 + 1)) - 1)
     path = [start, v1]
@@ -290,7 +291,7 @@ def _hole_dfs(s: Graph, start: int, v1: int, above: int,
         free = ~block & ~path_mask
         ends = adj[start] & past_v1 & free
         close = adj[vk] & ends
-        if close and length >= 4 and not (even and length % 2):
+        if close and length >= 4:
             return path + [(close & -close).bit_length() - 1]
         inner = above & ~adj[start] & free
         step = adj[vk] & inner

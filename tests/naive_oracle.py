@@ -155,7 +155,7 @@ def reference_twin_reduce(graph):
 # -- hole search without its reachability cut ---------------------------------
 
 
-def reference_hole_dfs(s, start, v1, above, even):
+def reference_hole_dfs(s, start, v1, above):
     """`patterns._hole_dfs` as it was before its reachability cut: every
     induced path start, v1, ... is extended, whether or not it can close."""
     adj = s.adj
@@ -166,7 +166,7 @@ def reference_hole_dfs(s, start, v1, above, even):
     pending = []  # pending[i]: untried extensions of path[:i + 2]
     while True:
         vk, length, block = path[-1], len(path) + 1, blocked[-1]
-        if length >= 4 and not (even and length % 2):
+        if length >= 4:
             close = adj[vk] & adj[start] & past_v1 & ~block & ~path_mask
             if close:
                 return path + [(close & -close).bit_length() - 1]
@@ -184,10 +184,10 @@ def reference_hole_dfs(s, start, v1, above, even):
         path_mask |= low
 
 
-def reference_find_hole(g, parity="any"):
+def reference_find_hole(g):
     """`find_hole` with `reference_hole_dfs` in place of the cut search."""
     with mock.patch.object(patterns, "_hole_dfs", reference_hole_dfs):
-        return find_hole(g, parity=parity)
+        return find_hole(g)
 
 
 # -- naive induced-pattern search ----------------------------------------------
@@ -409,6 +409,21 @@ def naive_hole_lengths(graph):
                 lengths.add(k)
                 break
     return sorted(lengths)
+
+
+def naive_is_chordal(graph):
+    """Chordality by deleting simplicial vertices (Dirac 1961): a graph is
+    chordal iff it empties by repeatedly removing a vertex whose remaining
+    neighbours are pairwise adjacent."""
+    nbrs = {v: set(neighbors(graph, v)) for v in range(graph.n)}
+    while nbrs:
+        simplicial = next((v for v, ns in nbrs.items()
+                           if all(b in nbrs[a] for a, b in combinations(ns, 2))), None)
+        if simplicial is None:
+            return False
+        for u in nbrs.pop(simplicial):
+            nbrs[u].discard(simplicial)
+    return True
 
 
 # -- group-theory oracles ----------------------------------------------------------

@@ -162,7 +162,7 @@ def test_criterion_07_even_hole_diamond_and_shortcut(reports, harness):
         red = bundle.reduction(proper=True)
         if red.graph.n > 100:
             continue
-        exhaustive_has_hole = find_hole(red, parity="any") is not None
+        exhaustive_has_hole = find_hole(red) is not None
         assert _mcs_is_chordal(red.graph) == (not exhaustive_has_hole), bundle.label
         compared += 1
     assert compared >= 40

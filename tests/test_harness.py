@@ -432,6 +432,20 @@ def test_even_hole_case_reports_the_ring_hole():
     assert record.witness == tuple(ring6.label(v) for v in (0, 1, 2, 3, 4, 5))
 
 
+def test_even_hole_case_reports_an_odd_ring_hole():
+    """The graph side checks "no hole", which is "no even hole" only on
+    power graphs, whose holes are all even: on a (synthetic) 5-ring,
+    T-EVENHOLE-DIAMOND's graph side is false, with the C5 as its witness."""
+    from pglab import Graph
+
+    ring5 = Graph([0b10010, 0b00101, 0b01010, 0b10100, 0b01001])
+    h = Harness(Corpus(_specs("C7"), (), ()))
+    h.bundle(h.corpus.entries[0])._reduction = twin_reduce(ring5)
+    record = h.run_case("T-EVENHOLE-DIAMOND").entries[0]
+    assert record.graph_side is False
+    assert record.witness == tuple(ring5.label(v) for v in (0, 1, 2, 3, 4))
+
+
 # -- analyze_group -----------------------------------------------------------------------
 
 

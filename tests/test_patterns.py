@@ -3,7 +3,6 @@ import time
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pglab import (
     PATTERNS,
@@ -27,6 +26,7 @@ from naive_oracle import (
     is_free,
     naive_first_witness,
     naive_hole_lengths,
+    naive_is_chordal,
     naive_pattern_presence,
     reference_find_hole,
     reference_find_induced_pattern,
@@ -245,26 +245,18 @@ def test_find_hole_on_rings():
     c6 = _ring(6)
     w = find_hole(c6)
     assert w is not None and w.pattern == "C6" and len(w.vertices) == 6
-    assert find_hole(c6, parity="even") == w
-
-    c7 = _ring(7)
-    assert find_hole(c7).pattern == "C7"
-    assert find_hole(c7, parity="even") is None
+    assert find_hole(_ring(7)).pattern == "C7"
 
 
 def test_find_hole_respects_bounds_and_validates():
+    """A hole has at least four vertices, in the search and in the re-check
+    of its witness."""
     c5 = _ring(5)
     assert find_hole(c5).pattern == "C5"
-    assert find_hole(_ring(3)) is None  # a triangle is no hole
-    with pytest.raises(ValueError):
-        find_hole(c5, parity="prime")
-
-
-def test_find_hole_rejects_odd_parity():
-    """No case asks for an odd hole, so the search answers only 'any' and
-    'even'."""
-    with pytest.raises(ValueError, match="any/even"):
-        find_hole(_ring(5), parity="odd")
+    assert patterns._is_induced_cycle(c5, (0, 1, 2, 3, 4))
+    triangle = _ring(3)
+    assert find_hole(triangle) is None
+    assert not patterns._is_induced_cycle(triangle, (0, 1, 2))
 
 
 def test_find_hole_witness_is_cycle_order():
@@ -350,7 +342,7 @@ def _unreduced(graph):
 
 def test_reduced_search_finds_the_unreduced_first_witness():
     """Twin reduction and the per-pattern retention leave the first witness
-    of every pattern and of every hole search unchanged."""
+    of every pattern and the first hole unchanged."""
     rng = random.Random(4)
     large_classes = 0
     for trial in range(150):
@@ -360,25 +352,22 @@ def test_reduced_search_finds_the_unreduced_first_witness():
         for name in PATTERNS:
             assert find_induced_pattern(red, name) == find_induced_pattern(whole, name), (
                 trial, name, g.adj)
-        for parity in ("any", "even"):
-            assert find_hole(red, parity=parity) == find_hole(whole, parity=parity), (
-                trial, parity, g.adj)
+        assert find_hole(red) == find_hole(whole), (trial, g.adj)
     assert large_classes >= 30
 
 
-@pytest.mark.parametrize("spec", DEFAULT_CORPUS_SPECS + ("C3xC4xC2", "C4xC9"))
+@pytest.mark.parametrize("spec", DEFAULT_CORPUS_SPECS + ("C3xC4xC2",))
 def test_cut_hole_search_matches_the_uncut_search(spec):
     """The reachability cut drops only subtrees with no hole, so every
     search returns the uncut search's first hole."""
     red = twin_reduce(build_power_graph(build_group(spec), proper=True))
-    for parity in ("any", "even"):
-        assert find_hole(red, parity=parity) == reference_find_hole(red, parity=parity), parity
+    assert find_hole(red) == reference_find_hole(red)
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_graphs(), st.sampled_from(("any", "even")))
-def test_cut_hole_search_matches_the_uncut_search_on_small_graphs(graph, parity):
-    assert find_hole(graph, parity=parity) == reference_find_hole(graph, parity=parity)
+@given(small_graphs())
+def test_cut_hole_search_matches_the_uncut_search_on_small_graphs(graph):
+    assert find_hole(graph) == reference_find_hole(graph)
 
 
 def test_hole_search_cuts_paths_that_cannot_close():
@@ -386,10 +375,9 @@ def test_hole_search_cuts_paths_that_cannot_close():
     reach: it explored every induced path from the first start vertex."""
     red = twin_reduce(build_power_graph(build_group("E3^2xD4"), proper=True))
     began = time.perf_counter()
-    w = find_hole(red, parity="even")
+    w = find_hole(red)
     assert time.perf_counter() - began < 1.0
     assert w.pattern == "C8" and w.vertices == (0, 8, 7, 9, 1, 25, 23, 24)
-    assert find_hole(red) == w
 
 
 def test_hole_search_against_naive_enumeration():
@@ -406,9 +394,8 @@ def test_hole_search_against_naive_enumeration():
         g = Graph(adj)
         lengths = naive_hole_lengths(g)
         assert (find_hole(g) is None) == (not lengths), (trial, adj)
-        evens = [k for k in lengths if k % 2 == 0]
-        assert (find_hole(g, parity="even") is None) == (not evens), (trial, adj)
         assert _mcs_is_chordal(g) == (not lengths), (trial, adj)
+        assert naive_is_chordal(g) == (not lengths), (trial, adj)
         verdict, witness = is_chordal(g)
         assert verdict == (not lengths)
         if witness is not None:

@@ -4,6 +4,7 @@ import tracemalloc
 from array import array
 from collections import Counter
 from itertools import pairwise
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from pglab import (
     prime_graph_edges,
     twin_reduce,
 )
+from pglab.classifiers import is_prime_power
 from pglab.harness import DEFAULT_CORPUS_SPECS, PRODUCT_SUBCORPUS_SPECS, analyze_group
 from pglab.group_kernel import Group
 from pglab.power_graph import RETAIN, _mask
@@ -27,6 +29,9 @@ from naive_oracle import (
     induced,
     is_connected,
     naive_element_order,
+    naive_hole_lengths,
+    naive_is_chordal,
+    naive_pattern_presence,
     naive_power_graph_sets,
     naive_twin_classes,
     neighbors,
@@ -491,6 +496,50 @@ def test_twin_reduction_preserves_pattern_presence(spec, pattern):
     on_full = find_induced_pattern(graph, pattern)
     on_reduced = find_induced_pattern(twin_reduce(graph), pattern)
     assert (on_full is None) == (on_reduced is None)
+
+
+# -- what a power graph cannot contain ----------------------------------------------
+# The facts proved in the docstrings of `find_hole`, `rhs_diamond` and
+# `rhs_cograph_nullprime`, checked on naive adjacency by subset enumeration.
+
+
+def _small_groups():
+    """The default corpus and every SD(n,m,k) with a non-trivial action
+    (k != 1), each of order at most 60."""
+    sds = [f"SD({n},{m},{k})" for n in range(3, 31) for m in range(2, 60 // n + 1)
+           for k in range(2, n) if gcd(k, n) == 1 and pow(k, m, n) == 1]
+    specs = dict.fromkeys([*DEFAULT_CORPUS_SPECS, *sds])
+    return [g for g in map(build_group, specs) if g.order <= 60]
+
+
+def test_diamond_free_and_eppo_power_graphs_are_chordal():
+    """A diamond-free P*(G) is chordal, and an EPPO group's is P4-free and
+    chordal."""
+    groups = _small_groups()
+    not_chordal = diamond_free = eppo = 0
+    for group in groups:
+        graph = reference_power_graph(group, proper=True)
+        present = naive_pattern_presence(graph, ["diamond", "P4"])
+        chordal = naive_is_chordal(graph)
+        not_chordal += not chordal
+        if not present["diamond"]:
+            diamond_free += 1
+            assert chordal, group.label
+        if all(is_prime_power(naive_element_order(group, v)) for v in range(1, group.order)):
+            eppo += 1
+            assert chordal and not present["P4"], group.label
+    assert (len(groups), not_chordal, diamond_free, eppo) == (178, 27, 62, 70)
+
+
+@pytest.mark.parametrize("spec", ["C30", "C36", "C4xC9", "C3xQ8", "SD(30,2,29)"])
+def test_power_graph_holes_are_even(spec):
+    """Every hole of P*(G) is even.  A hole meets a closed twin class at most
+    once and an open one at most twice, so the search graph cut to the first
+    two members of each class holds a hole of every length P*(G) has."""
+    red = reference_twin_reduce(reference_power_graph(build_group(spec), proper=True))
+    cut = induced(red.graph, [v for v in range(red.graph.n) if red.rank_masks[2] >> v & 1])
+    lengths = naive_hole_lengths(cut)
+    assert lengths and all(k % 2 == 0 for k in lengths), lengths
 
 
 # -- prime graphs ------------------------------------------------------------------
