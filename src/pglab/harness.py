@@ -320,7 +320,15 @@ def analyze_group(spec_text: str, proper: bool = False,
                   cap: int | None = None) -> AnalysisReport:
     """Full single-group document: flags, prime graph, freeness, witnesses,
     for P*(G) if `proper`, else for P(G).  Cographs are the P4-free graphs and
-    chain graphs the {C3, C5, 2K2}-free ones, so those four are always searched."""
+    chain graphs the {C3, C5, 2K2}-free ones, so those four are always asked.
+
+    Chordality comes first, and a chordal graph answers every pattern with a
+    hole (`Pattern.has_hole`: C4, C5, P5bar, P2uP3bar) as free without a
+    search.  An induced copy of such a pattern would carry its hole into the
+    graph, and `_mcs_is_chordal` answers True only on a checked perfect
+    elimination order, so each skipped verdict rests on that certificate.
+    P(G) is chordal exactly when P*(G) is, since the identity, adjacent to
+    every other vertex, lies on no hole."""
     spec = parse_group_spec(spec_text)
     names = list(PATTERNS) if patterns is None else list(patterns)
     for name in names:
@@ -330,7 +338,9 @@ def analyze_group(spec_text: str, proper: bool = False,
     bundle = GroupBundle(spec, cap)
     red = bundle.reduction(True)
     identity = bundle.group.render(0)
-    found = {name: _find(red, name, proper, identity)
+    chordal = _mcs_is_chordal(red.graph)
+    found = {name: None if chordal and PATTERNS[name].has_hole
+             else _find(red, name, proper, identity)
              for name in dict.fromkeys(names + ["P4", "C3", "C5", "2K2"])}
     return AnalysisReport(
         label=bundle.label,
@@ -339,7 +349,7 @@ def analyze_group(spec_text: str, proper: bool = False,
         prime_graph_edges=tuple(prime_graph_edges(bundle.flags)),
         patterns={name: found[name] for name in names},
         cograph=found["P4"] is None,
-        chordal=_mcs_is_chordal(red.graph),
+        chordal=chordal,
         chain=all(found[name] is None for name in ("C3", "C5", "2K2")),
         graph=red.original if proper else with_identity(red.original, identity),
     )

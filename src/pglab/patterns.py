@@ -34,8 +34,56 @@ from heapq import heappop, heappush
 from .power_graph import Graph, TwinReducedGraph, _bits, twin_reduce
 
 
+def _mcs_is_chordal(s: Graph) -> bool:
+    """Whether `s` has no hole (maximum-cardinality search, then a perfect
+    elimination order check).  Each step visits the heaviest unvisited
+    vertex, smallest id first, popped from a heap of (-weight, id); an entry
+    left behind by a weight increase is skipped, since the vertex's newer
+    entry pops before it.  Twin reduction keeps every hole, so a reduction's
+    search graph answers for the whole graph.
+
+    The check accepts only a true certificate, whatever order it is given
+    (Tarjan and Yannakakis 1984).  By induction along the order, a vertex's
+    earlier neighbours other than its parent are earlier neighbours of the
+    parent, hence a clique, and the check makes them adjacent to the parent.
+    A hole's last visited vertex would have two earlier neighbours on the
+    hole that are not adjacent, so True means that `s` has no hole."""
+    weights = [0] * s.n
+    visit_pos = [-1] * s.n
+    heap = [(0, v) for v in range(s.n)]  # sorted, hence a heap
+    alpha: list[int] = []
+    visited = 0
+    while heap:
+        best = heappop(heap)[1]
+        if visit_pos[best] >= 0:
+            continue
+        visit_pos[best] = len(alpha)
+        alpha.append(best)
+        visited |= 1 << best
+        for u in _bits(s.adj[best] & ~visited):
+            weights[u] += 1
+            heappush(heap, (-weights[u], u))
+    visited = 0
+    for v in alpha:
+        earlier = s.adj[v] & visited
+        visited |= 1 << v
+        if earlier:
+            # Most recently visited earlier neighbor must dominate the others.
+            parent = max(_bits(earlier), key=visit_pos.__getitem__)
+            if earlier & ~(1 << parent) & ~s.adj[parent]:
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class Pattern:
+    """A catalog pattern H and what the search reads off its edges.
+
+    `has_hole` says whether H itself is not chordal, as `_mcs_is_chordal`
+    finds on H's own edges.  An induced copy of H in G carries H's hole into
+    G as an induced cycle, so a graph certified chordal holds no copy of H,
+    and `analyze_group` answers H there without a search."""
+
     name: str
     size: int
     edges: tuple[tuple[int, int], ...]
@@ -47,6 +95,7 @@ class Pattern:
     # step k's but shares a neighbour with it placed after step k and none
     # placed before step k, or None.
     lookahead: tuple[int | None, ...]
+    has_hole: bool  # H has an induced cycle of length >= 4
 
 
 def _make_pattern(name: str, size: int, edges: tuple[tuple[int, int], ...]) -> Pattern:
@@ -68,7 +117,7 @@ def _make_pattern(name: str, size: int, edges: tuple[tuple[int, int], ...]) -> P
                                and masks[pj] & masks[pv] & later
                                and not masks[pj] & masks[pv] & placed), None))
     return Pattern(name, size, edges, tuple(masks), degrees, max_twins, order,
-                   tuple(lookahead))
+                   tuple(lookahead), not _mcs_is_chordal(Graph(masks)))
 
 
 PATTERNS: dict[str, Pattern] = {
@@ -190,40 +239,6 @@ def find_induced_pattern(g: Graph | TwinReducedGraph,
     if not verify_witness(red.original, pattern, original):  # pragma: no cover
         raise RuntimeError(f"search produced an invalid {pattern.name} witness")
     return witness
-
-
-def _mcs_is_chordal(s: Graph) -> bool:
-    """Whether `s` has no hole (maximum-cardinality search, then a perfect
-    elimination order check).  Each step visits the heaviest unvisited
-    vertex, smallest id first, popped from a heap of (-weight, id); an entry
-    left behind by a weight increase is skipped, since the vertex's newer
-    entry pops before it.  Twin reduction keeps every hole, so a reduction's
-    search graph answers for the whole graph."""
-    weights = [0] * s.n
-    visit_pos = [-1] * s.n
-    heap = [(0, v) for v in range(s.n)]  # sorted, hence a heap
-    alpha: list[int] = []
-    visited = 0
-    while heap:
-        best = heappop(heap)[1]
-        if visit_pos[best] >= 0:
-            continue
-        visit_pos[best] = len(alpha)
-        alpha.append(best)
-        visited |= 1 << best
-        for u in _bits(s.adj[best] & ~visited):
-            weights[u] += 1
-            heappush(heap, (-weights[u], u))
-    visited = 0
-    for v in alpha:
-        earlier = s.adj[v] & visited
-        visited |= 1 << v
-        if earlier:
-            # Most recently visited earlier neighbor must dominate the others.
-            parent = max(_bits(earlier), key=visit_pos.__getitem__)
-            if earlier & ~(1 << parent) & ~s.adj[parent]:
-                return False
-    return True
 
 
 def find_hole(g: Graph | TwinReducedGraph) -> Witness | None:

@@ -126,3 +126,19 @@ def test_layer_rows_give_traced_values_and_their_ratio():
     assert found.split() == ["verify-large", "patterns.found_ratio", "0.5", "0.25", "0.500"]
     assert build.split() == ["verify-large", "power_graph.build_s", "0.25", "0.2", "-"]
     assert searches.split()[-1] == "-"  # zero at the base: no ratio
+
+
+def test_layer_rows_give_the_median_of_each_sides_traced_runs():
+    """One slow traced run per side does not move a layer's value: each side
+    prints the median over its traced runs."""
+    benchmark = dict(_BENCHMARK, per_layer=[
+        {"name": "power_graph.build_s", "unit": "s"},
+        {"name": "patterns.searches", "unit": "count"}])
+    records = [_traced("verify-large", commit, {"power_graph.build_s": build,
+                                                "patterns.searches": searches})
+               for commit, build, searches in (
+                   ("base", 0.25, 77), ("base", 0.9, 77), ("base", 0.3, 77),
+                   ("base+", 0.2, 61), ("base+", 0.21, 61), ("base+", 0.5, 61))]
+    header, build, searches = bench_pairs.layer_rows(records, "base", benchmark)
+    assert build.split() == ["verify-large", "power_graph.build_s", "0.3", "0.21", "-"]
+    assert searches.split() == ["verify-large", "patterns.searches", "77", "61", "0.792"]

@@ -196,17 +196,45 @@ def test_p_and_proper_p_give_the_same_witnesses():
         full = twin_reduce(build_power_graph(group))
         report = analyze_group(spec)
         expected = {name: find_induced_pattern(full, name) for name in PATTERNS}
-        assert report.patterns == expected, entry.label
-        assert report.cograph == (expected["P4"] is None), entry.label
+        assert report.patterns == expected, spec
+        assert report.cograph == (expected["P4"] is None), spec
         assert report.chain == all(expected[name] is None
-                                   for name in ("C3", "C5", "2K2")), entry.label
-        assert report.chordal == _mcs_is_chordal(full.graph), entry.label
+                                   for name in ("C3", "C5", "2K2")), spec
+        assert report.chordal == _mcs_is_chordal(full.graph), spec
         if group.order <= 200:
             proper = twin_reduce(build_power_graph(group, proper=True))
             a, b = find_hole(full), find_hole(proper)
-            assert (a and a.labels) == (b and b.labels), entry.label
+            assert (a and a.labels) == (b and b.labels), spec
         checked += 1
     assert checked == 59  # all but A7
+
+
+def test_analysis_of_a7_on_proper_p_matches_direct_searches():
+    """A7, left out above for its order, is where the chordal skip saves
+    most: P*(A7) is chordal, so `analyze_group` answers C4, C5, P5bar and
+    P2uP3bar without a search.  Its patterns still equal a direct search of
+    every pattern on P*(A7)."""
+    red = twin_reduce(build_power_graph(build_group("A7"), proper=True))
+    report = analyze_group("A7", proper=True)
+    assert report.chordal
+    assert report.patterns == {name: find_induced_pattern(red, name)
+                               for name in PATTERNS}
+
+
+@pytest.mark.parametrize("spec, chordal", [("S4", True), ("C30", False)])
+def test_chordal_analysis_searches_no_pattern_with_a_hole(monkeypatch, spec, chordal):
+    """On a chordal graph `analyze_group` searches only the patterns without
+    a hole; on a graph with a hole it searches all eleven."""
+    from pglab import harness
+
+    searched = []
+    find = harness._find
+    monkeypatch.setattr(harness, "_find",
+                        lambda red, name, *rest: searched.append(name)
+                        or find(red, name, *rest))
+    assert analyze_group(spec).chordal == chordal
+    holed = {"C4", "C5", "P5bar", "P2uP3bar"}
+    assert set(searched) == (set(PATTERNS) - holed if chordal else set(PATTERNS))
 
 
 def test_analysis_of_p_builds_one_graph(monkeypatch):

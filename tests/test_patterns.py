@@ -81,6 +81,15 @@ def test_max_twins_matches_brute_force():
     assert PATTERNS["C3"].max_twins == 3
 
 
+def test_has_hole_matches_the_oracle():
+    """`Pattern.has_hole`, derived by MCS, against hole enumeration on each
+    pattern's own graph."""
+    for name, p in PATTERNS.items():
+        assert p.has_hole == bool(naive_hole_lengths(Graph(list(p.adj_masks)))), name
+    assert {name for name, p in PATTERNS.items() if p.has_hole} == {
+        "C4", "C5", "P5bar", "P2uP3bar"}
+
+
 def test_pattern_beyond_retention_is_refused():
     k4 = _make_pattern("K4", 4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
     assert k4.max_twins == 4 > RETAIN
@@ -380,18 +389,27 @@ def test_hole_search_cuts_paths_that_cannot_close():
     assert w.pattern == "C8" and w.vertices == (0, 8, 7, 9, 1, 25, 23, 24)
 
 
-def test_hole_search_against_naive_enumeration():
-    rng = random.Random(20260815)
-    for trial in range(40):
-        n = rng.randrange(5, 11)
-        p = rng.choice((0.2, 0.35, 0.5, 0.65))
+def _random_graphs(seed, trials, sizes, densities):
+    """`trials` random graphs, each of a size drawn from `range(*sizes)`,
+    then an edge density drawn from `densities`."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        n = rng.randrange(*sizes)
+        p = rng.choice(densities)
         adj = [0] * n
         for u in range(n):
             for v in range(u + 1, n):
                 if rng.random() < p:
                     adj[u] |= 1 << v
                     adj[v] |= 1 << u
-        g = Graph(adj)
+        yield adj, Graph(adj)
+
+
+_HOLE_TRIALS = (20260815, 40, (5, 11), (0.2, 0.35, 0.5, 0.65))
+
+
+def test_hole_search_against_naive_enumeration():
+    for trial, (adj, g) in enumerate(_random_graphs(*_HOLE_TRIALS)):
         lengths = naive_hole_lengths(g)
         assert (find_hole(g) is None) == (not lengths), (trial, adj)
         assert _mcs_is_chordal(g) == (not lengths), (trial, adj)
@@ -402,19 +420,27 @@ def test_hole_search_against_naive_enumeration():
             assert len(witness.vertices) in lengths
 
 
+def test_chordal_graphs_hold_no_pattern_with_a_hole():
+    """The fact behind `analyze_group`'s skip, off power graphs: every
+    graph above that the oracle finds chordal holds none of C4, C5, P5bar
+    and P2uP3bar by the uncut search, while the graphs with a hole hold
+    some of them."""
+    holed = [p for p in PATTERNS.values() if p.has_hole]
+    chordal = found = 0
+    for trial, (adj, g) in enumerate(_random_graphs(*_HOLE_TRIALS)):
+        witnesses = [reference_find_induced_pattern(g, p) for p in holed]
+        if naive_is_chordal(g):
+            chordal += 1
+            assert witnesses == [None] * len(holed), (trial, adj)
+        else:
+            found += any(witnesses)
+    assert chordal >= 5 and found >= 5
+
+
 def test_pattern_presence_against_naive_enumeration():
     """Backtracking search vs direct subset enumeration on random graphs."""
-    rng = random.Random(987654321)
-    for trial in range(25):
-        n = rng.randrange(5, 10)
-        p = rng.choice((0.25, 0.5, 0.75))
-        adj = [0] * n
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < p:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-        g = Graph(adj)
+    for trial, (adj, g) in enumerate(_random_graphs(987654321, 25, (5, 10),
+                                                    (0.25, 0.5, 0.75))):
         naive = naive_pattern_presence(g)
         for name, found in is_free(g).items():
             assert (found is not None) == naive[name], (trial, name, adj)

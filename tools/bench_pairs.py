@@ -8,9 +8,9 @@ Run from the repository root.  The base commit is exported with
 ``BENCHMARK.json`` and every seed, one untraced run
 (``perfbench/run.py --trace 0``) of the base and one of the working tree
 run back to back, the base first on even seeds and last on odd ones, so
-slow drifts of the machine hit both sides alike.  Then one
-traced run (``--trace 1``, seed 1) per side gives the layer breakdown.  Each
-run is a fresh process.  The output is a JSON list of records
+slow drifts of the machine hit both sides alike.  Then traced runs
+(``--trace 1``, seeds 1-3, in the same alternation) give the layer
+breakdown.  Each run is a fresh process.  The output is a JSON list of records
 ``{commit, workload, trace, seed, result}``, where ``result`` is the last
 line ``perfbench/run.py`` prints.  A run that exits non-zero, prints no
 result or reports a failed check stops the script with exit status 1, after
@@ -25,10 +25,11 @@ change median no worse than the base median by more than ``bound`` of it).
 A bound that holds is ``unresolved`` when the base's interquartile range
 is wider than ``bound`` of its median and not every change run beats every
 base run: the base's own spread could hide a regression that large.
-Then it prints one row per workload and ``per_layer`` metric: the values of
-the traced seed-1 runs of the base and of the change, and change / base for
-counts and ratios.  A time from one traced run per side is too noisy to
-divide, so a time metric gets ``-`` in place of a ratio.
+Then it prints one row per workload and ``per_layer`` metric: the median
+over the traced runs of the base and of the change, so one slow host moment
+during one traced run does not reverse a layer's direction, and change /
+base for counts and ratios.  A time from three traced runs per side is
+still too noisy to divide, so a time metric gets ``-`` in place of a ratio.
 """
 
 from __future__ import annotations
@@ -109,21 +110,23 @@ def summary(records: list[dict], base: str, benchmark: dict) -> list[str]:
 
 
 def layer_rows(records: list[dict], base: str, benchmark: dict) -> list[str]:
-    """One row per workload and per-layer metric, from the traced runs; only
-    the exact metrics, counts and ratios, get change / base."""
+    """One row per workload and per-layer metric, the median over each
+    side's traced runs; only the exact metrics, counts and ratios, get
+    change / base."""
     rows = [f"{'workload':<15} {'layer metric':<28} {'base':>12} {'change':>12} {'ratio':>7}"]
     for workload in benchmark["workloads"]:
-        sides = [{}, {}]  # the metrics of the base's and the change's traced run
+        sides = ([], [])  # the metrics of the base's and the change's traced runs
         for r in records:
             if r["workload"] == workload["name"] and r["trace"]:
-                sides[r["commit"] != base] = r["result"]["metrics"]
+                sides[r["commit"] != base].append(r["result"]["metrics"])
         for metric in benchmark["per_layer"]:
-            if metric["name"] not in sides[0] or metric["name"] not in sides[1]:
+            name = metric["name"]
+            if not all(runs and all(name in m for m in runs) for runs in sides):
                 continue
-            old, new = (side[metric["name"]]["value"] for side in sides)
+            old, new = (statistics.median(m[name]["value"] for m in runs) for runs in sides)
             exact = metric["unit"] in ("count", "ratio")
             ratio = f"{new / old:.3f}" if exact and old else "-"
-            rows.append(f"{workload['name']:<15} {metric['name']:<28} "
+            rows.append(f"{workload['name']:<15} {name:<28} "
                         f"{old:>12.6g} {new:>12.6g} {ratio:>7}")
     return rows
 
@@ -157,8 +160,9 @@ def main(argv: list[str] | None = None) -> int:
                 for tree, commit in sides[::1 if seed % 2 == 0 else -1]:
                     records.append(run(tree, commit, workload, seed, args.seconds, 0))
         for workload in workloads:
-            for tree, commit in sides:
-                records.append(run(tree, commit, workload, 1, args.seconds, 1))
+            for seed in (1, 2, 3):
+                for tree, commit in sides[::1 if seed % 2 == 0 else -1]:
+                    records.append(run(tree, commit, workload, seed, args.seconds, 1))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1)
         fh.write("\n")
