@@ -11,7 +11,9 @@ subgroup once, one `compose` call per power.  The power graph is built from
 its output, and the element orders are read off the same walk, each written
 once, at a generator; so a written order marks an element already yielded.
 The generator positions are found once per order o in each walk.  A complete
-walk drops the payload index; `compose` and `index_of` rebuild it.
+walk drops the payload index and packs the payloads into one flat array
+(see `_pack`): `payload` and `render` read the array, and `compose` and
+`index_of` rebuild the payload tuple and the index on first use.
 
 Element order of a BFS closure is deterministic: identity first, then the
 generators in the order given, then products in breadth-first discovery
@@ -24,6 +26,7 @@ import math
 import os
 from array import array
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Hashable, Iterator, Sequence
 
 DEFAULT_GROUP_CAP = 10080
@@ -53,6 +56,8 @@ class Group:
     `elements` lists the payloads in index order.  It may also be a dict from
     each payload to its index, in index order, as `close_generators` builds
     it; the group then keeps that dict as its index until a walk drops it.
+    A complete walk also packs the payloads into `_flat` (see `_pack`) and
+    drops their tuple; `_elements` is then rebuilt from `_flat` on first use.
     """
 
     def __init__(
@@ -67,28 +72,36 @@ class Group:
             self._index = elements  # built by close_generators
         if len(self._index) != len(self._elements):
             raise ValueError("duplicate payloads in element list")
+        self.order = len(self._elements)
         self._compose_payloads = compose_payloads
         self.label = label
         self._render = render_payload or repr
         self._orders: array | None = None
+        self._flat: bytes | array | None = None  # the packed payloads, after a walk
+        self._width = 0  # entries per payload in `_flat`; 0 for int payloads
 
     @cached_property
     def _index(self) -> dict[Payload, int]:
         """payload -> index, cached in the instance: a plain dict for `compose`."""
         return {e: i for i, e in enumerate(self._elements)}
 
-    @property
-    def order(self) -> int:
-        return len(self._elements)
+    @cached_property
+    def _elements(self) -> tuple[Payload, ...]:
+        """The payload tuple, rebuilt from `_flat` after a walk dropped it."""
+        flat, w = self._flat, self._width
+        return tuple(flat) if not w else tuple(zip(*[iter(flat)] * w))
 
     def payload(self, i: int) -> Payload:
-        return self._elements[i]
+        flat, w = self._flat, self._width
+        if flat is None:
+            return self._elements[i]
+        return flat[i] if not w else tuple(flat[i * w:i * w + w])
 
     def index_of(self, payload: Payload) -> int:
         return self._index[payload]
 
     def render(self, i: int) -> str:
-        return self._render(self._elements[i])
+        return self._render(self.payload(i))
 
     def compose(self, i: int, j: int) -> int:
         return self._index[self._compose_payloads(self._elements[i], self._elements[j])]
@@ -101,8 +114,9 @@ class Group:
         gives the members in power order; the generators are the u^k with
         gcd(k, o) = 1, at positions k - 1 listed once per o.  Each element
         generates one yielded subgroup, so a complete walk fills the order
-        cache with o at each generator, then drops the payload index.  Cost:
-        about the sum of |<u>| over the distinct subgroups, not of o(u) over all elements.
+        cache with o at each generator, then drops the payload index and,
+        where `_pack` can hold them, the payload tuple.  Cost: about the sum
+        of |<u>| over the distinct subgroups, not of o(u) over all elements.
         """
         orders = array("i", bytes(4 * self.order))  # 0 until yielded
         compose = self.compose
@@ -125,6 +139,10 @@ class Group:
         self._orders = orders
         # pop, not del: a second walk of the trivial group finds no index.
         self.__dict__.pop("_index", None)
+        if self._flat is None:
+            self._flat, self._width = _pack(self._elements)
+        if self._flat is not None:
+            self.__dict__.pop("_elements", None)
 
     def element_orders(self) -> list[int]:
         if self._orders is None:
@@ -134,6 +152,33 @@ class Group:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"Group({self.label}, order={self.order})"
+
+
+def _pack(payloads: tuple[Payload, ...]) -> tuple[bytes | array | None, int]:
+    """(flat, width) holding `payloads`, or (None, 0) where it cannot.
+
+    Int payloads go into `flat` one entry each (width 0); tuples of one length
+    w >= 1 go in entry by entry (width w).  `flat` is bytes where every entry
+    lies in range(256), else an array of C long longs.  A payload list of any
+    other kind, or with an entry that is no integer (a nested tuple) or lies
+    past 64 bits, gets None and keeps its tuple.  Entries are read by
+    `__index__`, as `bytes` and `array` read them: a bool entry comes back
+    as an int.
+    """
+    kinds = set(map(type, payloads))
+    if kinds == {int}:
+        width, entries = 0, payloads
+    elif kinds == {tuple} and len(set(map(len, payloads))) == 1 and payloads[0]:
+        width, entries = len(payloads[0]), list(chain.from_iterable(payloads))
+    else:
+        return None, 0
+    try:
+        try:
+            return bytes(entries), width
+        except ValueError:  # an entry outside range(256)
+            return array("q", entries), width
+    except (TypeError, OverflowError):  # an entry that is no integer, or past 64 bits
+        return None, 0
 
 
 def close_generators(

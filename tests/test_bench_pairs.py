@@ -21,7 +21,7 @@ def _tree(tmp_path, body):
 def test_crashed_run_shows_its_stderr_and_exits_non_zero(tmp_path):
     tree = _tree(tmp_path, "import sys\nsys.exit('the run broke')\n")
     with pytest.raises(SystemExit) as stop:
-        bench_pairs.run(tree, "0123456789", "verify-large", 3, 1, 0)
+        bench_pairs.run("base", tree, "0123456789", "verify-large", 3, 1, 0)
     assert stop.value.code not in (0, None)
     assert "exit 1, no result" in str(stop.value.code)
     assert "the run broke" in str(stop.value.code)
@@ -32,7 +32,7 @@ def test_failed_check_exits_non_zero(tmp_path):
               "metrics": {"wall_s": {"value": 1.0}}}
     tree = _tree(tmp_path, f"print({json.dumps(json.dumps(result))})\n")
     with pytest.raises(SystemExit) as stop:
-        bench_pairs.run(tree, "0123456789", "verify-large", 3, 1, 0)
+        bench_pairs.run("base", tree, "0123456789", "verify-large", 3, 1, 0)
     assert "exit 0, failed 2" in str(stop.value.code)
 
 
@@ -40,8 +40,25 @@ def test_correct_run_is_recorded(tmp_path):
     result = {"correct": True, "attempted": 3, "failed": 0,
               "metrics": {"wall_s": {"value": 1.0}}}
     tree = _tree(tmp_path, f"print({json.dumps(json.dumps(result))})\n")
-    record = bench_pairs.run(tree, "0123456789", "verify-large", 3, 1, 0)
+    record = bench_pairs.run("base", tree, "0123456789", "verify-large", 3, 1, 0)
     assert record["result"] == result and record["seed"] == 3
+
+
+def test_progress_lines_name_the_side(tmp_path, capsys):
+    """A change on top of the base names the same commit on both sides, so
+    each progress line and each failure leads with its side."""
+    result = {"correct": True, "attempted": 3, "failed": 0,
+              "metrics": {"wall_s": {"value": 1.0}}}
+    tree = _tree(tmp_path, f"print({json.dumps(json.dumps(result))})\n")
+    for side in ("base", "change"):
+        bench_pairs.run(side, tree, "0123456789", "verify-large", 3, 1, 0)
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["base 0123456 verify-large seed 3 trace 0 wall 1.0000",
+                     "change 0123456 verify-large seed 3 trace 0 wall 1.0000"]
+    (tmp_path / "perfbench" / "run.py").write_text("import sys\nsys.exit('broke')\n")
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.run("change", tree, "0123456789", "verify-large", 3, 1, 0)
+    assert str(stop.value.code).startswith("change 0123456 verify-large seed 3")
 
 
 def _records(workload, base_values, change_values, metric="peak_rss_mb"):

@@ -17,6 +17,7 @@ from pglab.group_kernel import (
     render_permutation,
     resolve_cap,
 )
+import naive_oracle
 from naive_oracle import (
     conjugate,
     cyclic_closure,
@@ -289,15 +290,94 @@ def test_interrupted_walk_keeps_the_index_and_a_rewalk_drops_nothing():
 
 
 def test_product_of_walked_factors_matches_fresh_factors():
-    walked = [build_group("S3"), build_group("Q8")]
-    for g in walked:
+    """The factors' payloads are packed by their walks; the product's
+    `compose` and `render` call theirs and agree with fresh factors."""
+    for specs in (("S3", "Q8"), ("E2^3", "C5"), ("PSL(2,4)", "C2")):
+        walked = [build_group(spec) for spec in specs]
+        for g in walked:
+            g.element_orders()
+            assert "_elements" not in vars(g)
+        product = direct_product(*walked)
+        fresh = direct_product(*map(build_group, specs))
+        n = fresh.order
+        assert [product.payload(i) for i in range(n)] == [fresh.payload(i) for i in range(n)]
+        assert [product.render(i) for i in range(n)] == [fresh.render(i) for i in range(n)]
+        assert all(product.compose(i, j) == fresh.compose(i, j)
+                   for i, j in itertools.product(range(n), repeat=2))
+
+
+# -- packed payloads after a walk ----------------------------------------------------
+
+
+def _observe(g):
+    """payload, render, index_of and compose, read without walking g."""
+    n = g.order
+    payloads = [g.payload(i) for i in range(n)]
+    return (payloads, [g.render(i) for i in range(n)],
+            [g.index_of(p) for p in payloads],
+            [[g.compose(i, j) for j in range(n)] for i in range(n)])
+
+
+# One spec per FAMILIES row, then a second matrix group and two products.
+@pytest.mark.parametrize("spec", ["PSL(2,7)", "SL(2,3)", "SD(7,3,2)", "C12", "D5", "S4",
+                                  "A5", "Q16", "E3^2", "SL(2,5)", "C4xC9", "E2^3xS3"])
+def test_walk_packs_the_payloads_and_every_answer_stays(spec):
+    g = build_group(spec)
+    payloads, renders, indices, table = _observe(g)
+    orders = [naive_element_order(g, i) for i in range(g.order)]
+    assert g.element_orders() == orders  # a complete walk
+    assert "_elements" not in vars(g) and "_index" not in vars(g)
+    # payload and render read the packed array and rebuild nothing.
+    assert [g.payload(i) for i in range(g.order)] == payloads
+    assert [g.render(i) for i in range(g.order)] == renders
+    assert "_elements" not in vars(g)
+    assert _observe(g) == (payloads, renders, indices, table)  # compose rebuilds
+    assert list(g.cyclic_subgroups()) == list(build_group(spec).cyclic_subgroups())
+    assert "_elements" not in vars(g) and g.element_orders() == orders
+
+
+def test_walked_psl2_13_holds_no_payload_tuple():
+    g = build_group("PSL(2,13)")
+    build_power_graph(g)
+    assert "_elements" not in vars(g) and "_index" not in vars(g)
+    fresh = [build_group("PSL(2,13)").payload(i) for i in range(g.order)]
+    assert g._flat == bytes(itertools.chain.from_iterable(fresh))  # 4 bytes a matrix
+    assert [g.payload(i) for i in range(g.order)] == fresh
+    assert g.render(0) == "[[1,0],[0,1]]"
+
+
+def _huge_cyclic(n):
+    """C_n on the multiples of 2^70: ints past 64 bits."""
+    step = 1 << 70
+    return Group([k * step for k in range(n)], lambda a, b: (a + b) % (n * step), "huge")
+
+
+def _ragged_c3():
+    """C3 on (), (1,) and (1, 1): tuples of mixed lengths."""
+    return Group([(), (1,), (1, 1)], lambda a, b: (1,) * ((len(a) + len(b)) % 3), "ragged")
+
+
+@pytest.mark.parametrize("build", [lambda: naive_oracle.construct_psl2(7),
+                                   lambda: _huge_cyclic(6), _ragged_c3,
+                                   lambda: Group([()], lambda a, b: (), "empty")],
+                         ids=["nested-tuples", "ints-past-64-bits", "mixed-lengths",
+                              "empty-tuple"])
+def test_payloads_that_cannot_be_packed_are_kept(build):
+    g = build()
+    payloads, renders, indices, table = _observe(g)
+    orders = [naive_element_order(g, i) for i in range(g.order)]
+    assert g.element_orders() == orders
+    assert g._flat is None and "_elements" in vars(g) and "_index" not in vars(g)
+    assert _observe(g) == (payloads, renders, indices, table)
+    assert g.payload(g.order - 1) is payloads[-1]  # the very object, not a copy
+
+
+def test_packing_falls_back_to_an_array_past_a_byte():
+    negative = Group([0, -1, -2], lambda a, b: -((-a - b) % 3), "negative")
+    for g, entries in ((build_group("C300"), list(range(300))), (negative, [0, -1, -2])):
         g.element_orders()
-    product = direct_product(*walked)
-    fresh = direct_product(build_group("S3"), build_group("Q8"))
-    n = fresh.order
-    assert [product.payload(i) for i in range(n)] == [fresh.payload(i) for i in range(n)]
-    assert all(product.compose(i, j) == fresh.compose(i, j)
-               for i, j in itertools.product(range(n), repeat=2))
+        assert g._flat.typecode == "q" and list(g._flat) == entries
+        assert [g.payload(i) for i in range(g.order)] == entries
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "0", "2.5", " "])

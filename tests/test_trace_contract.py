@@ -45,6 +45,8 @@ def test_tracer_patches_and_restores_pglab():
     assert values["finite_field.setup_s"] > 0
     assert values["power_graph.reduced_vertices"] > 0
     assert values["patterns.searches"] > 0
+    # The walk composes through `Group.compose`, which the tracer counts.
+    assert values["group_kernel.compose_calls"] > 0
     for case in ("T-CHAIN", "T-P5P5B-PRODUCT", "T-SZ"):
         assert values[f"harness.{case}_s"] > 0
     # Product groups come from `direct_product` and are reduced through

@@ -10,11 +10,12 @@ Run from the repository root.  The base commit is exported with
 run back to back, the base first on even seeds and last on odd ones, so
 slow drifts of the machine hit both sides alike.  Then traced runs
 (``--trace 1``, seeds 1-3, in the same alternation) give the layer
-breakdown.  Each run is a fresh process.  The output is a JSON list of records
-``{commit, workload, trace, seed, result}``, where ``result`` is the last
-line ``perfbench/run.py`` prints.  A run that exits non-zero, prints no
-result or reports a failed check stops the script with exit status 1, after
-printing that run's stderr tail.
+breakdown.  Each run is a fresh process, and prints a progress line to
+stderr led by its side, ``base`` or ``change``.  The output is a JSON list
+of records ``{commit, workload, trace, seed, result}``, where ``result`` is
+the last line ``perfbench/run.py`` prints.  A run that exits non-zero,
+prints no result or reports a failed check stops the script with exit
+status 1, after printing that run's stderr tail.
 
 At the end it prints one row per workload and end-to-end metric of
 ``BENCHMARK.json``: the base and change medians of the untraced runs with
@@ -55,13 +56,15 @@ def seed_range(text: str) -> list[int]:
     return list(range(int(first), int(last or first) + 1))
 
 
-def run(tree: str, commit: str, workload: str, seed: int, seconds: float,
+def run(side: str, tree: str, commit: str, workload: str, seed: int, seconds: float,
         trace: int) -> dict:
+    """One run of `perfbench/run.py` in `tree`; `side` ("base" or "change")
+    leads its progress line, since both sides can name one commit."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
-    what = f"{commit[:7]} {workload} seed {seed} trace {trace}"
+    what = f"{side} {commit[:7]} {workload} seed {seed} trace {trace}"
     try:
         result = json.loads(done.stdout.strip().splitlines()[-1])
     except (IndexError, ValueError):
@@ -154,15 +157,15 @@ def main(argv: list[str] | None = None) -> int:
         archive = subprocess.run(["git", "-C", ROOT, "archive", base], check=True,
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        sides = ((tmp, base), (ROOT, change))
+        sides = (("base", tmp, base), ("change", ROOT, change))
         for workload in workloads:
             for seed in seed_range(args.seeds):
-                for tree, commit in sides[::1 if seed % 2 == 0 else -1]:
-                    records.append(run(tree, commit, workload, seed, args.seconds, 0))
+                for side in sides[::1 if seed % 2 == 0 else -1]:
+                    records.append(run(*side, workload, seed, args.seconds, 0))
         for workload in workloads:
             for seed in (1, 2, 3):
-                for tree, commit in sides[::1 if seed % 2 == 0 else -1]:
-                    records.append(run(tree, commit, workload, seed, args.seconds, 1))
+                for side in sides[::1 if seed % 2 == 0 else -1]:
+                    records.append(run(*side, workload, seed, args.seconds, 1))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1)
         fh.write("\n")
