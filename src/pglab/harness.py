@@ -147,6 +147,12 @@ class GroupBundle:
             raise ValueError("only P*(G) is reduced; P(G) is answered from it")
         return self._reduction
 
+    @cached_property
+    def chordal(self) -> bool:
+        """Whether P*(G) has no hole: one MCS per group, for every case."""
+        # perfbench/tracing.py wraps this module's _mcs_is_chordal by name.
+        return _mcs_is_chordal(self.reduction(True).graph)
+
 
 @dataclass(frozen=True)
 class EntryRecord:
@@ -251,7 +257,7 @@ class Harness:
             if w is not None:
                 return False, w
         # Chordal graphs have no holes at all; skip the exponential search.
-        if not case.hole or _mcs_is_chordal(red.graph):
+        if not case.hole or bundle.chordal:
             return True, None
         w = find_hole(red)
         return w is None, w
@@ -338,8 +344,7 @@ def analyze_group(spec_text: str, proper: bool = False,
     bundle = GroupBundle(spec, cap)
     red = bundle.reduction(True)
     identity = bundle.group.render(0)
-    chordal = _mcs_is_chordal(red.graph)
-    found = {name: None if chordal and PATTERNS[name].has_hole
+    found = {name: None if bundle.chordal and PATTERNS[name].has_hole
              else _find(red, name, proper, identity)
              for name in dict.fromkeys(names + ["P4", "C3", "C5", "2K2"])}
     return AnalysisReport(
@@ -349,7 +354,7 @@ def analyze_group(spec_text: str, proper: bool = False,
         prime_graph_edges=tuple(prime_graph_edges(bundle.flags)),
         patterns={name: found[name] for name in names},
         cograph=found["P4"] is None,
-        chordal=chordal,
+        chordal=bundle.chordal,
         chain=all(found[name] is None for name in ("C3", "C5", "2K2")),
         graph=red.original if proper else with_identity(red.original, identity),
     )

@@ -7,11 +7,16 @@ and co-diamond, and the path unions P2+P3 / complement.  All searches are for
 catalog pattern and all holes), and return witnesses as original vertex ids
 plus labels.  Search order is deterministic, so witnesses are reproducible.
 
-A search for H looks only at the first m(H) members of each twin class,
-where m(H) is the size of H's largest closed-twin or open-twin class.  The
-first witness in search order never needs more: the members of one host class
-that a copy uses are twins inside H, and swapping a used member for a
-smaller unused one yields a copy that the search meets earlier.
+A search for H looks only at the first m(H) members of each closed-twin
+class, m(H) being the size of H's largest closed-twin class.  The first
+witness never needs more.  The members of one class that a copy uses are
+closed twins in the copy, so there are at most m(H) of them; if one has
+rank m(H) or more, a smaller member is unused, and swapping it in (the two
+have the same neighbours outside the pair) gives a copy whose images, read
+in search order, are lexicographically smaller: the search meets it first.
+`find_hole` makes the same swap for holes.  Every vertex of rank below
+`RETAIN` is in the search graph, so those copies and holes lie inside it,
+and the degree cut, read there, and MCS on it stay sound.
 
 A search also looks two steps ahead.  Say step k's pattern vertex is not
 adjacent to step j's (j < k), but both are adjacent to a vertex placed after
@@ -89,7 +94,7 @@ class Pattern:
     edges: tuple[tuple[int, int], ...]
     adj_masks: tuple[int, ...]
     degrees: tuple[int, ...]
-    max_twins: int  # m(H): the largest closed-twin or open-twin class
+    max_twins: int  # m(H): the size of the largest closed-twin class
     order: tuple[int, ...]  # search order: decreasing degree, then id
     # lookahead[k]: the earliest step j < k whose vertex is not adjacent to
     # step k's but shares a neighbour with it placed after step k and none
@@ -104,9 +109,7 @@ def _make_pattern(name: str, size: int, edges: tuple[tuple[int, int], ...]) -> P
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     degrees = tuple(m.bit_count() for m in masks)
-    closed = Counter(m | 1 << v for v, m in enumerate(masks))
-    opened = Counter(masks)
-    max_twins = max(max(closed.values()), max(opened.values()))
+    max_twins = max(Counter(m | 1 << v for v, m in enumerate(masks)).values())
     order = tuple(sorted(range(size), key=lambda v: (-degrees[v], v)))
     lookahead = []
     for k, pv in enumerate(order):
@@ -254,12 +257,19 @@ def find_hole(g: Graph | TwinReducedGraph) -> Witness | None:
     distinct cyclic subgroups, since two generators of one subgroup are
     closed twins.  Along a hole no vertex has one neighbour above it and one
     below, since those two would be comparable, hence adjacent.  So peaks
-    and valleys alternate, and the hole has even length."""
+    and valleys alternate, and the hole has even length.
+
+    Only each closed-twin class's first member is searched.  Two closed
+    twins on a hole are adjacent, and the next vertex after the pair is
+    adjacent to one, hence to the other: a chord.  So a hole meets a class
+    at most once, and swapping a hole vertex for its class's first member
+    gives a hole with the same or a smaller minimum and, read from it
+    towards its smaller neighbour, a smaller id where the two first differ,
+    which the ascending search meets first.  So the first hole lies among
+    the first members."""
     red = _as_reduction(g)
     s = red.graph
-    # An induced cycle of length >= 4 meets a closed twin class at most once
-    # and an open one at most twice.
-    allowed = red.rank_masks[2]
+    allowed = red.rank_masks[1]
     # Search for cycles whose minimum vertex is start; path = [start, v1, ..., vk],
     # each vi > start, consecutive adjacent, non-consecutive non-adjacent.
     for start in _bits(allowed):

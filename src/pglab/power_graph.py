@@ -22,23 +22,18 @@ drops the identity (its vertex i is group element i+1); P(G) adds it back,
 a block adjacent to every other (`with_identity`).  Labels are rendered on
 demand (`Graph.label`), only for the vertices a report names, or an export.
 
-`twin_reduce` shrinks a graph by interchangeability classes (vertices with
-identical closed neighborhoods — adjacent twins — or identical open
-neighborhoods — non-adjacent twins), keeping the `RETAIN` smallest ids of
-each class.  It works on the quotient.  Two vertices of different blocks are
-closed twins exactly when their blocks are, so a closed class is the union
-of the blocks of one closed-twin run of the quotient.  A vertex of a block
-with two or more members has no open twin: its open neighbourhood holds its
-block-mates but not itself, and any other vertex's holds either all of the
-block or none of it.  So an open class is the one-member blocks of one
-open-twin run of the quotient.  Runs are found by sorting the quotient
-vertices by row, once by closed and once by open neighborhood, rather than
-by hashing rows: CPython hashes an int modulo 2^61 - 1, so sparse rows such
-as `1 << v` share a few dozen hash values and a row-keyed dict degrades to
-long collision chains.  The closed sort leaves out the blocks with no
-neighbour; `twin_reduce` says why.  An induced copy of a pattern H meets a
-class in at most m(H) vertices, the size of H's own largest twin class, so
-a search for H needs only the first m(H) members of each class;
+`twin_reduce` shrinks a graph by closed-twin classes (vertices with
+identical closed neighborhoods), keeping the `RETAIN` smallest ids of each
+class.  It works on the quotient.  Two vertices of different blocks are
+closed twins exactly when their blocks are, so a class is the union of the
+blocks of one run of equal closed rows in the quotient.  Runs are found by
+sorting the quotient vertices by closed row rather than by hashing rows:
+CPython hashes an int modulo 2^61 - 1, so sparse rows such as `1 << v` share
+a few dozen hash values and a row-keyed dict degrades to long collision
+chains.  The sort leaves out the blocks with no neighbour; `twin_reduce`
+says why.  An induced copy of a pattern H meets a class in at most m(H)
+vertices, the size of H's own largest closed-twin class, so a search for H
+needs only the first m(H) members of each class (see `patterns`);
 `TwinReducedGraph.rank_masks` marks them.  The search graph shares the
 graph's quotient, each block cut to its retained members, so the reduction
 builds no rows; its cut, classes, retained ids and degrees are flat arrays,
@@ -55,7 +50,7 @@ from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, compress, pairwise, repeat
+from itertools import accumulate, compress, groupby, pairwise, repeat
 
 from .group_kernel import Group
 
@@ -189,9 +184,6 @@ class Graph:
         bu, bv = self.block_of[u], self.block_of[v]
         return u != v and (bu == bv or bool(self.quotient[bu] >> bv & 1))
 
-    def degree(self, v: int) -> int:
-        return self.row(v).bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         """Sorted list of (u, v) pairs with u < v."""
         return [(u, u + 1 + d) for u in range(self.n)
@@ -251,7 +243,7 @@ def with_identity(star: Graph, label: str) -> Graph:
 
 @dataclass
 class TwinReducedGraph:
-    """Result of twin reduction over interchangeability classes."""
+    """Result of twin reduction over closed-twin classes."""
 
     original: Graph
     classes: Partition              # sorted members, classes sorted by min member
@@ -273,30 +265,25 @@ class TwinReducedGraph:
 
 
 def twin_reduce(graph: Graph) -> TwinReducedGraph:
-    """Group vertices with equal closed or equal open neighborhoods.
+    """Group vertices with equal closed neighborhoods.
 
     Sorting the quotient vertices with a neighbour by closed row
-    (quotient[b] | 1 << b), and the one-member blocks by open row
-    (quotient[b]), puts the blocks of each class in one run of equal rows,
-    ascending (see the module docstring).  An isolated block is left out of
-    the closed sort, since it has no closed twin: distinct blocks with equal
-    closed rows each lie in the other's closed row, so they are adjacent.
-    Its closed key would be the one high bit 1 << b, about b/8 bytes, so on
-    an edgeless quotient the keys alone would take memory quadratic in the
-    block count: about 20 MB on P*(E2^14), with its 16,383 isolated blocks.
-    Isolated one-member blocks still take part in the open sort, where they
-    form one class.  The two relations never chain, so these runs give the
-    classes: a vertex with a closed twin has no open twin.  For if u and v
-    are closed twins and v and w are open twins, then u is in N(v) = N(w),
-    so w is in N[u] = N[v], and w, being distinct from v, is in
-    N(v) = N(w), which no vertex is.  Empty
-    blocks hold no vertex, so they are left out of the runs and the rows.
-    The `RETAIN` smallest ids of each class are retained.  The search graph is
-    the subgraph they induce, given by the same quotient with each block cut
-    to its retained members, renumbered by rank in `retained`: a block with
-    none is empty, and rows are filled only when read.  When every vertex is
-    retained, the search graph is the graph itself.  Every catalog pattern
-    and induced cycles of any length survive the reduction.
+    (quotient[b] | 1 << b) puts the blocks of each class in one run of
+    equal rows, ascending (see the module docstring).  An isolated block is
+    left out of the sort, since it has no closed twin: distinct blocks with
+    equal closed rows each lie in the other's closed row, so they are
+    adjacent.  Its closed key would be the one high bit 1 << b, about b/8
+    bytes, so on an edgeless quotient the keys alone would take memory
+    quadratic in the block count: about 20 MB on P*(E2^14), with its 16,383
+    isolated blocks.  A block in no run, isolated or not, is a class of its
+    own.  Empty blocks hold no vertex, so they are left out of the runs and
+    the rows.  The `RETAIN` smallest ids of each class are retained.  The
+    search graph is the subgraph they induce, given by the same quotient
+    with each block cut to its retained members, renumbered by rank in
+    `retained`: a block with none is empty, and rows are filled only when
+    read.  When every vertex is retained, the search graph is the graph
+    itself.  Every catalog pattern and every hole survive the reduction
+    (see `patterns`).
     """
     rows = graph.quotient
     size = [hi - lo for lo, hi in pairwise(graph.start)]  # size[b]: block b's members
@@ -305,18 +292,11 @@ def twin_reduce(graph: Graph) -> TwinReducedGraph:
         full = _mask([k > 0 for k in size])
         rows = [row & full for row in rows]
     run_of: list[list[int] | None] = [None] * len(rows)
-    linked = [b for b in live if rows[b]]
-    singles = [b for b in live if size[b] == 1]
-    # Only a linked block gets a closed key (see the docstring), held here.
-    for vertices, keys in ((linked, [rows[b] | 1 << b for b in linked]),
-                           (singles, [rows[b] for b in singles])):
-        for i, j in pairwise(sorted(range(len(vertices)), key=keys.__getitem__)):
-            if keys[i] == keys[j]:
-                a, b = vertices[i], vertices[j]
-                if run_of[a] is None:
-                    run_of[a] = [a]
-                run_of[a].append(b)
-                run_of[b] = run_of[a]
+    closed = {b: rows[b] | 1 << b for b in live if rows[b]}  # linked blocks only
+    for _, run in groupby(sorted(closed, key=closed.get), closed.get):
+        run = list(run)
+        for b in run:
+            run_of[b] = run
     # Blocks ascend by least member, so classes taken in the order of their
     # least block ascend by least member too.
     members, start = graph.members, graph.start
@@ -326,7 +306,7 @@ def twin_reduce(graph: Graph) -> TwinReducedGraph:
     rank = bytearray([RETAIN]) * graph.n
     for b in live:
         run = run_of[b]
-        if run is None:
+        if run is None or len(run) == 1:
             part = members[start[b]:start[b + 1]]
         elif run[0] == b:
             part = sorted(v for c in run for v in graph.block(c))

@@ -99,12 +99,12 @@ def small_graphs(draw):
 
 
 def naive_twin_classes(graph):
-    """Twin classes by pairwise comparison: u and v are linked when
-    N[u] = N[v] or N(u) = N(v), and classes are the transitive closure of
-    that link.  Members ascending, classes ordered by their least member."""
+    """Closed-twin classes by pairwise comparison: u and v are linked when
+    N[u] = N[v], and classes are the transitive closure of that link.
+    Members ascending, classes ordered by their least member."""
     nbrs = [set(neighbors(graph, v)) for v in range(graph.n)]
-    linked = [[nbrs[u] == nbrs[v] or nbrs[u] | {u} == nbrs[v] | {v}
-               for v in range(graph.n)] for u in range(graph.n)]
+    linked = [[nbrs[u] | {u} == nbrs[v] | {v} for v in range(graph.n)]
+              for u in range(graph.n)]
     class_of = [None] * graph.n
     classes = []
     for v in range(graph.n):
@@ -125,17 +125,17 @@ def naive_twin_classes(graph):
 
 def reference_twin_reduce(graph):
     """Twin reduction on the vertex rows, as the package did it before it
-    reduced the clique quotient: sort every vertex by closed row and by open
-    row, take each run of equal rows as a class, keep the `RETAIN` smallest
-    ids of each, and induce the search graph on them."""
+    reduced the clique quotient: sort every vertex by closed row, take each
+    run of equal rows as a class, keep the `RETAIN` smallest ids of each,
+    and induce the search graph on them."""
     run_of = [None] * graph.n
-    for rows in ([row | 1 << v for v, row in enumerate(graph.adj)], graph.adj):
-        for u, v in pairwise(sorted(range(graph.n), key=rows.__getitem__)):
-            if rows[u] == rows[v]:
-                if run_of[u] is None:
-                    run_of[u] = [u]
-                run_of[u].append(v)
-                run_of[v] = run_of[u]
+    rows = [row | 1 << v for v, row in enumerate(graph.adj)]
+    for u, v in pairwise(sorted(range(graph.n), key=rows.__getitem__)):
+        if rows[u] == rows[v]:
+            if run_of[u] is None:
+                run_of[u] = [u]
+            run_of[u].append(v)
+            run_of[v] = run_of[u]
     classes = [run or [v] for v, run in enumerate(run_of) if run is None or run[0] == v]
     rank = [0] * graph.n
     for ms in classes:
@@ -341,7 +341,7 @@ def reference_find_induced_pattern(g, pattern):
 
     order = sorted(range(pattern.size), key=lambda v: (-pattern.degrees[v], v))
     full = red.rank_masks[pattern.max_twins]
-    degs = [s.degree(v) for v in range(s.n)]
+    degs = [s.row(v).bit_count() for v in range(s.n)]
     assignment = [-1] * pattern.size  # pattern vertex -> search-graph vertex
 
     def backtrack(step: int, used: int) -> bool:

@@ -26,6 +26,7 @@ from pglab.constructors import parse_group_spec, spec_label
 from pglab.harness import (
     DEFAULT_CORPUS_SPECS,
     DEFAULT_SZ_PARAMS,
+    GroupBundle,
     PRODUCT_ORDER_CAP,
     PRODUCT_SUBCORPUS_SPECS,
 )
@@ -251,7 +252,31 @@ def test_analysis_of_p_builds_one_graph(monkeypatch):
                         lambda graph: calls.append("reduce") or reduce(graph))
     report = analyze_group("S4")
     assert sorted(calls) == ["reduce", "walk"]
-    assert report.graph.n == 24 and report.graph.degree(0) == 23
+    assert report.graph.n == 24 and report.graph.row(0).bit_count() == 23
+
+
+def test_hole_cases_share_one_mcs_per_group(monkeypatch):
+    """T-EVENHOLE-DIAMOND and S-CHORDAL-NILP read one cached chordality
+    certificate per group: MCS runs once on each search graph, though many
+    groups reach the hole step of both cases."""
+    from pglab import harness as harness_module
+
+    mcs_runs, reads = [], []
+    mcs = harness_module._mcs_is_chordal
+    monkeypatch.setattr(harness_module, "_mcs_is_chordal",
+                        lambda graph: mcs_runs.append(graph) or mcs(graph))
+    cached = vars(GroupBundle)["chordal"]
+    monkeypatch.setattr(GroupBundle, "chordal", property(
+        lambda bundle: reads.append(bundle.label) or cached.__get__(bundle, GroupBundle)))
+    fresh = Harness()
+    certified = []  # per case, the groups whose certificate it read
+    for case_id in ("T-EVENHOLE-DIAMOND", "S-CHORDAL-NILP"):
+        assert fresh.run_case(case_id).mismatches == 0
+        certified.append(set(reads))
+        reads.clear()
+    first, second = certified
+    assert len(first & second) >= 10
+    assert len(mcs_runs) == len(first | second)
 
 
 def test_bundle_reduces_only_proper_p(harness):

@@ -61,13 +61,12 @@ def test_patterns_are_consistent():
 
 
 def _brute_max_twins(p):
-    """Largest vertex set of p whose members share one closed or one open
+    """Largest vertex set of p whose members share one closed
     neighbourhood, by enumerating every subset."""
     best = 0
     for bits in range(1, 1 << p.size):
         vs = [v for v in range(p.size) if bits >> v & 1]
-        if (len({p.adj_masks[v] | 1 << v for v in vs}) == 1
-                or len({p.adj_masks[v] for v in vs}) == 1):
+        if len({p.adj_masks[v] | 1 << v for v in vs}) == 1:
             best = max(best, len(vs))
     return best
 
@@ -77,7 +76,7 @@ def test_max_twins_matches_brute_force():
         assert p.max_twins == _brute_max_twins(p), name
         assert p.max_twins <= RETAIN, name
     assert {n for n, p in PATTERNS.items() if p.max_twins == 1} == {
-        "P4", "P5", "P5bar", "C5"}
+        "P4", "P5", "P5bar", "C4", "C5"}
     assert PATTERNS["C3"].max_twins == 3
 
 
@@ -323,7 +322,9 @@ def test_mcs_on_a_long_cycle_is_not_chordal():
 
 
 def _twin_rich_graph(rng):
-    """A random graph on a few base vertices, grown by closed and open twins."""
+    """A random graph on a few base vertices, grown by closed twins, three
+    times in four, and by open twins, so that many have a closed-twin class
+    larger than `RETAIN`."""
     base = rng.randrange(3, 7)
     adj = [0] * base
     for u in range(base):
@@ -333,7 +334,7 @@ def _twin_rich_graph(rng):
                 adj[v] |= 1 << u
     for v in range(base, base + rng.randrange(3, 8)):
         src = rng.randrange(v)
-        row = adj[src] | (1 << src if rng.random() < 0.5 else 0)
+        row = adj[src] | (1 << src if rng.random() < 0.75 else 0)
         adj.append(row)
         for u in range(v):
             if row >> u & 1:
@@ -363,6 +364,19 @@ def test_reduced_search_finds_the_unreduced_first_witness():
                 trial, name, g.adj)
         assert find_hole(red) == find_hole(whole), (trial, g.adj)
     assert large_classes >= 30
+
+
+def test_open_twins_of_k25_are_all_searched():
+    """K_{2,5} (given by rows) has no closed twins, though the five vertices
+    of its large side are open twins: the reduction retains all seven, and
+    its first C4 and first hole are those of the unreduced search."""
+    k25 = Graph([0b1111100] * 2 + [0b0000011] * 5)
+    red, whole = twin_reduce(k25), _unreduced(k25)
+    assert list(red.retained) == list(range(7))
+    assert find_induced_pattern(red, "C4") == find_induced_pattern(whole, "C4")
+    assert find_induced_pattern(red, "C4").vertices == (0, 2, 1, 3)
+    assert find_hole(red) == find_hole(whole)
+    assert find_hole(red).vertices == (0, 2, 1, 3)
 
 
 @pytest.mark.parametrize("spec", DEFAULT_CORPUS_SPECS + ("C3xC4xC2",))

@@ -111,7 +111,7 @@ def test_no_self_loops_and_symmetry():
 def test_identity_vertex_is_universal():
     for spec in ("C12", "A4", "Q16", "SD(7,3,2)"):
         g = build_power_graph(build_group(spec))
-        assert g.degree(0) == g.n - 1
+        assert g.row(0).bit_count() == g.n - 1
 
 
 def test_p_c6_explicit_edges():
@@ -144,7 +144,7 @@ def test_edges_match_brute_force_pairs(graph):
 
 def test_degree_sum_is_twice_edge_count():
     g = build_power_graph(build_group("C30"))
-    assert sum(g.degree(v) for v in range(g.n)) == 2 * len(g.edges())
+    assert sum(g.row(v).bit_count() for v in range(g.n)) == 2 * len(g.edges())
 
 
 def test_cyclic_adjacency_is_order_divisibility():
@@ -197,13 +197,13 @@ def test_twin_classes_of_p_c6():
 
 
 def test_twin_reduce_caps_class_size():
-    graph = build_power_graph(build_group("E2^4"))  # star on 16 vertices
+    graph = build_power_graph(build_group("C16"), proper=True)  # a clique on 15 vertices
     red = twin_reduce(graph)
-    assert len(red.classes) == 2  # {identity} and the 15 open-twin involutions
+    assert _lists(red.classes) == [list(range(15))]  # one class of closed twins
     assert RETAIN == 3
-    assert list(red.retained) == [0, 1, 2, 3]  # the identity and 3 involutions
+    assert list(red.retained) == [0, 1, 2]
     # rank_masks[m]: the first m retained members of each class
-    assert red.rank_masks == [0b0000, 0b0011, 0b0111, 0b1111]
+    assert red.rank_masks == [0b000, 0b001, 0b011, 0b111]
 
 
 def test_twin_reduce_maps_every_vertex():
@@ -255,19 +255,21 @@ def test_twin_reduce_matches_pairwise_oracle(graph):
 
 def test_twin_reduce_on_sparse_rows_of_20000_vertices():
     """Rows such as 1 << v share a few dozen int hashes; the classes still
-    come out whole.  Edgeless: one class of open twins.  Perfect matching:
-    each edge is a class of closed twins."""
+    come out whole.  Edgeless: every vertex is a class of its own.  Perfect
+    matching: each edge is a class of closed twins."""
     n = 20_000
-    red = _check_against_oracle(Graph([0] * n), [list(range(n))])
-    assert list(red.retained) == [0, 1, 2]
+    edgeless = Graph([0] * n)
+    red = _check_against_oracle(edgeless, [[v] for v in range(n)])
+    assert red.graph is edgeless
     matching = Graph([1 << (v ^ 1) for v in range(n)])
     red = _check_against_oracle(matching, [[v, v + 1] for v in range(0, n, 2)])
     assert red.graph is matching
 
 
 def test_twin_reduce_memory_is_linear_on_an_edgeless_quotient():
-    """P*(E2^12) is 4,095 isolated vertices.  A closed key 1 << b for each
-    would take about n^2/16 bytes, 1 MiB here; none is built."""
+    """P*(E2^12) is 4,095 isolated vertices, each a class of its own.  A
+    closed key 1 << b for each would take about n^2/16 bytes, 1 MiB here;
+    none is built."""
     graph = build_power_graph(build_group("E2^12"), proper=True)
     tracemalloc.start()
     try:
@@ -275,7 +277,7 @@ def test_twin_reduce_memory_is_linear_on_an_edgeless_quotient():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert list(red.retained) == [0, 1, 2]
+    assert list(red.retained) == list(range(graph.n))
     assert peak < 2**20
 
 
@@ -403,11 +405,11 @@ def test_flat_blocks_agree(graphs):
 @pytest.mark.parametrize("spec", ["C1", "C12", "E2^4", "S4", "A5", "Q16", *LARGE_SPECS])
 def test_flat_blocks_of_power_graphs_agree(spec):
     """P*(G) and P(G) take their `block_of` from the build, and a cut search
-    graph from `twin_reduce`; of the large-corpus groups only E3^9 keeps
-    every vertex, so its search graph is P*(G) itself."""
+    graph from `twin_reduce`; of the large-corpus groups only E3^9 and
+    E2^14 keep every vertex, so their search graph is P*(G) itself."""
     star = build_power_graph(build_group(spec, LARGE_CAP), proper=True)
     search = twin_reduce(star).graph
-    assert (search is star) == (spec in ("C1", "E3^9"))
+    assert (search is star) == (spec in ("C1", "E2^4", "S4", "E3^9", "E2^14"))
     for graph in (star, build_power_graph(build_group(spec, LARGE_CAP)), search):
         _assert_flat_blocks(graph)
 
@@ -445,19 +447,22 @@ def test_reducing_a_search_graph_matches_reference(graphs):
     _assert_reduces_search_graph(twin_reduce(blown).graph)
 
 
-@pytest.mark.parametrize("spec", ["C16", "D8", "E2^4", "S4", "A5"])
+@pytest.mark.parametrize("spec", ["C8", "C16", "D8", "PSL(2,8)", "E2^4", "S4", "A5"])
 def test_reducing_a_search_graph_with_empty_blocks(spec):
-    """P*(G) of these groups has a class holding blocks past its third
-    member, so its search graph has empty blocks."""
+    """P*(G) of the first four groups, the default-corpus groups that do so,
+    has a class holding blocks past its third member, so its search graph
+    has empty blocks; the search graphs of the last three have none."""
     search = twin_reduce(build_power_graph(build_group(spec), proper=True)).graph
-    assert not all(search.block(b) for b in range(len(search.quotient)))
+    empty = not all(search.block(b) for b in range(len(search.quotient)))
+    assert empty == (spec in ("C8", "C16", "D8", "PSL(2,8)"))
     _assert_reduces_search_graph(search)
 
 
 @pytest.mark.parametrize("spec", DEFAULT_CORPUS_SPECS)
 def test_no_vertex_has_both_twin_kinds(spec):
-    """The lemma twin_reduce rests on: the closed-twin and open-twin
-    relations never chain, checked on every default-corpus P*(G)."""
+    """On every default-corpus P*(G) a vertex with a closed twin has no
+    open twin, so open twins, which `twin_reduce` does not group, lie only
+    in one-member blocks."""
     graph = build_power_graph(build_group(spec), proper=True)
     closed = Counter(row | 1 << v for v, row in enumerate(graph.adj))
     opened = Counter(graph.adj)
@@ -470,7 +475,7 @@ def test_reduction_retaining_every_vertex_shares_the_graph():
     red = twin_reduce(graph)
     assert list(red.retained) == list(range(graph.n))
     assert red.graph is graph
-    capped = twin_reduce(build_power_graph(build_group("E2^4")))
+    capped = twin_reduce(build_power_graph(build_group("C16")))
     assert capped.graph is not capped.original
 
 
@@ -534,11 +539,17 @@ def test_diamond_free_and_eppo_power_graphs_are_chordal():
 @pytest.mark.parametrize("spec", ["C30", "C36", "C4xC9", "C3xQ8", "SD(30,2,29)"])
 def test_power_graph_holes_are_even(spec):
     """Every hole of P*(G) is even.  A hole meets a closed twin class at most
-    once and an open one at most twice, so the search graph cut to the first
-    two members of each class holds a hole of every length P*(G) has."""
+    once, and a set of open twins (equal rows) at most twice, so the search
+    graph cut to the first member of each class, then to the first two of
+    each set of open twins, holds a hole of every length P*(G) has."""
     red = reference_twin_reduce(reference_power_graph(build_group(spec), proper=True))
-    cut = induced(red.graph, [v for v in range(red.graph.n) if red.rank_masks[2] >> v & 1])
-    lengths = naive_hole_lengths(cut)
+    firsts = induced(red.graph, [v for v in range(red.graph.n) if red.rank_masks[1] >> v & 1])
+    kept, seen = [], Counter()
+    for v, row in enumerate(firsts.adj):
+        seen[row] += 1
+        if seen[row] <= 2:
+            kept.append(v)
+    lengths = naive_hole_lengths(induced(firsts, kept))
     assert lengths and all(k % 2 == 0 for k in lengths), lengths
 
 
@@ -605,7 +616,7 @@ def test_graph_constructor_direct():
     ring = Graph([0b10010, 0b00101, 0b01010, 0b10100, 0b01001])
     assert ring.n == 5
     assert ring.edges() == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
-    assert all(ring.degree(v) == 2 for v in range(5))
+    assert all(ring.row(v).bit_count() == 2 for v in range(5))
     assert is_connected(ring)
 
 
@@ -653,11 +664,11 @@ def test_large_corpus_walks_compose_as_often_as_traced(monkeypatch):
 
 
 def test_searching_a_cut_reduction_reads_no_original_row():
-    """P*(E2^14) is 16,383 isolated vertices, one class, cut to 3: a search
-    reads no row of the original, so it makes no list of 16,383 row slots."""
-    red = twin_reduce(build_power_graph(build_group("E2^14", LARGE_CAP), proper=True))
+    """P*(PSL(2,31)) has 14,879 vertices, cut to 5,459: a search reads no
+    row of the original, so it makes no list of 14,879 row slots."""
+    red = twin_reduce(build_power_graph(build_group("PSL(2,31)", LARGE_CAP), proper=True))
     assert red.graph is not red.original
-    assert find_induced_pattern(red, "P2uP3") is None
+    assert find_induced_pattern(red, "P2uP3bar") is None
     assert "_rows" not in vars(red.original)
 
 
